@@ -2,8 +2,11 @@
 
 Layout (all integers little-endian):
     magic "FSFM" | u32 format version | u64 config length | config JSON (UTF-8)
+    | u64 parameter count
 then, for every parameter in ascending name order:
     u64 name length | name bytes | u64 rank | u64 dims[rank] | f64 values
+
+The parameter count makes a file cut at a record boundary detectable.
 
 The config JSON is the ModelConfig dict with sorted keys, so identical
 configs and parameters serialize to identical bytes.
@@ -12,6 +15,7 @@ configs and parameters serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Dict, Tuple
@@ -19,7 +23,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 MAGIC = b"FSFM"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -33,6 +37,7 @@ def save_checkpoint(path, config_dict: dict, params: Dict[str, np.ndarray]) -> N
     cfg = json.dumps(config_dict, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob += struct.pack("<Q", len(cfg))
     blob += cfg
+    blob += struct.pack("<Q", len(params))
     for name in sorted(params):
         arr = np.ascontiguousarray(params[name], dtype="<f8")
         nb = name.encode("utf-8")
@@ -46,29 +51,43 @@ def save_checkpoint(path, config_dict: dict, params: Dict[str, np.ndarray]) -> N
 
 
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    """Parse a checkpoint; any malformed, truncated or over-long file raises CheckpointError."""
+    raw = memoryview(Path(path).read_bytes())
+    off = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal off
+        if n > len(raw) - off:
+            raise CheckpointError(f"{path}: truncated at byte {off} (wanted {n} more)")
+        off += n
+        return raw[off - n : off]
+
+    def u64() -> int:
+        return struct.unpack("<Q", take(8))[0]
+
+    if take(4) != MAGIC:
+        raise CheckpointError(f"{path}: bad magic {bytes(raw[:4])!r}")
+    (version,) = struct.unpack("<I", take(4))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    off = 8
-    (cfg_len,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    config = json.loads(raw[off : off + cfg_len].decode("utf-8"))
-    off += cfg_len
+    config_bytes = bytes(take(u64()))
+    try:
+        config = json.loads(config_bytes.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: unreadable config ({e})") from None
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config is not a JSON object")
     params: Dict[str, np.ndarray] = {}
-    while off < len(raw):
-        (name_len,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-        dims = struct.unpack_from(f"<{rank}Q", raw, off)
-        off += 8 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(dims)
-        off += 8 * count
-        params[name] = arr.astype(np.float64)
+    for _ in range(u64()):
+        name_bytes = bytes(take(u64()))
+        try:
+            name = name_bytes.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: unreadable parameter name ({e})") from None
+        rank = u64()
+        dims = tuple(u64() for _ in range(rank))
+        count = math.prod(dims)
+        params[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(dims).astype(np.float64)
+    if off != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes after the last parameter")
     return config, params

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numeric failure
-(non-finite loss or failed gradient check), 3 I/O error.
+(non-finite loss or failed gradient check), 3 I/O error (including a
+malformed checkpoint).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import sys
 
+from .checkpoint import CheckpointError
 from .gradcheck import gradcheck_model
 from .model import ModelConfig
 from .profiler import profile
@@ -187,6 +189,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
+    except CheckpointError as e:
+        print(f"checkpoint error: {e}", file=sys.stderr)
+        return 3
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return 3

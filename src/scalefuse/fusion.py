@@ -1,13 +1,16 @@
-"""Full-scale feature fusion: masked multi-head cross-attention per scale.
+"""Full-scale feature fusion: multi-head cross-attention per scale.
 
-Each query scale attends over the whole flattened pyramid sequence.  During
-training the binary keep decisions enter as an attention mask shared by all
-heads (one row of weights per query, zeroed at dropped keys before the
-normalization); at inference the selected tokens are gathered up front and
-attention runs unmasked.  The projection variant compresses the query
-sequence to N/r rows with a learned column-stochastic matrix, attends at the
-short length, and re-projects the output, which is where the quadratic
-score-matrix cost actually shrinks.
+Each query scale attends over the whole flattened pyramid sequence.  One
+attention op (`tensor.attention`) serves every path: `mca_core` wraps it in
+the q/k/v and output projections, and `mca_fuse` and `mca_fuse_projected`
+both go through `mca_core`, the latter with compacted queries.  Scale-level
+selection decides which keys are in play: during training the scale's
+binary keep decisions go to the op as a mask shared by all heads and query
+rows; at inference the selected tokens are gathered up front and the op
+runs unmasked.  The
+projection variant compresses the query sequence to N/r rows with a learned
+column-stochastic matrix, attends at the short length, and re-projects the
+output, which is where the quadratic score-matrix cost actually shrinks.
 
 Normalization note: the exp-weighted, max-shifted masked softmax is the
 default; the count-normalized literal variant (`eq5_literal`) divides the
@@ -18,7 +21,7 @@ rule: such rows come out exactly zero and are tallied in the diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -29,9 +32,9 @@ from .tensor import (
     ActivationMeter,
     ConfigurationError,
     Tensor,
+    attention,
     gather_rows,
     glorot_uniform,
-    matmul,
     slice_axis,
     zeros_param,
 )
@@ -64,29 +67,9 @@ class MCAParams:
             head_count=head_count,
         )
 
-    @property
-    def head_dim(self) -> int:
-        return self.wq.shape[0] // self.head_count
-
     def parameters(self, prefix: str):
         for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
             yield f"{prefix}.{n}", getattr(self, n)
-
-
-@dataclass
-class AttentionMask:
-    """Binary decisions for one scale, broadcast to every query row.
-
-    The N_i x L matrix of the formulation is realized by broadcasting the
-    length-L decision vector; every row is identical and all heads share it.
-    """
-
-    decisions: Tensor  # shape (L,)
-    query_count: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.broadcast_to(self.decisions.data, (self.query_count, self.decisions.shape[0])).copy()
 
 
 @dataclass
@@ -120,17 +103,11 @@ class ScaleFusionStats:
     scale: int
     path: str  # "base" | "projected"
     attention_macs: int
-    projection_macs: int
-    peak_activation_floats: int
+    projection_macs: int = 0
+    peak_activation_floats: int = 0  # filled in by fuse_all_scales
 
     def to_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "path": self.path,
-            "attention_macs": self.attention_macs,
-            "projection_macs": self.projection_macs,
-            "peak_activation_floats": self.peak_activation_floats,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -139,10 +116,7 @@ class FusionDiagnostics:
     zero_mask_rows: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "per_scale": [s.to_dict() for s in self.per_scale],
-            "zero_mask_rows": self.zero_mask_rows,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -152,79 +126,27 @@ class FusedOutput:
     feature_map: Tensor  # D x h_i x w_i
 
 
-def split_heads(x: Tensor, head_count: int) -> Tensor:
-    """(N, D) -> (h, N, d_k)."""
-    n, d = x.shape
-    return x.reshape(n, head_count, d // head_count).transpose(1, 0, 2)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(h, N, d_k) -> (N, D)."""
-    h, n, dk = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dk)
-
-
-def attention_scores(queries: Tensor, keys: Tensor, params: MCAParams) -> Tensor:
-    """Per-head scaled dot products, (h, N, L); denominator sqrt(d_k)."""
-    q = split_heads((queries @ params.wq) + params.bq, params.head_count)
-    k = split_heads((keys @ params.wk) + params.bk, params.head_count)
-    scale = 1.0 / np.sqrt(params.head_dim)
-    return matmul(q, k.transpose(0, 2, 1)) * scale
-
-
-def masked_normalize(
-    scores: Tensor,
-    mask: AttentionMask,
-    literal: bool = False,
-    diagnostics: Optional[FusionDiagnostics] = None,
-) -> Tensor:
-    """Normalize attention rows over masked-in keys; masked-out entries are 0.
-
-    Default: exp-weighted masked softmax with a max shift taken over the kept
-    keys (continuous in the scores, rows sum to 1).  Literal variant: divide
-    the unshifted masked exponentials by the kept-key count.  Rows with no
-    kept key are defined as exact zeros and counted in the diagnostics.
-    """
-    m = mask.decisions
-    kept = m.data > 0
-    dead_rows = 0 if kept.any() else mask.query_count
-    if diagnostics is not None and dead_rows:
-        diagnostics.zero_mask_rows += dead_rows
-
-    if literal:
-        weighted = scores.exp() * m
-        denom = m.sum()
-        safe = denom + float(not kept.any())
-        return weighted / safe
-
-    shift_src = np.where(kept, scores.data, -np.inf).max(axis=-1, keepdims=True)
-    shift = np.where(np.isfinite(shift_src), shift_src, 0.0)  # constant offset
-    weighted = (scores + Tensor(-shift)).exp() * m
-    denom = weighted.sum(axis=-1, keepdims=True)
-    safe = denom + float(not kept.any())
-    return weighted / safe
-
-
-def plain_softmax_rows(scores: Tensor) -> Tensor:
-    return scores.softmax(axis=-1)
-
-
 def mca_core(
     queries: Tensor,
     source: Tensor,
     params: MCAParams,
-    mask: Optional[AttentionMask],
+    keep: Optional[Tensor],
     literal: bool = False,
     diagnostics: Optional[FusionDiagnostics] = None,
 ) -> Tensor:
-    """Attention block without the residual: scores, normalize, gather, project."""
-    scores = attention_scores(queries, source, params)
-    if mask is None:
-        attn = plain_softmax_rows(scores)
-    else:
-        attn = masked_normalize(scores, mask, literal=literal, diagnostics=diagnostics)
-    v = split_heads((source @ params.wv) + params.bv, params.head_count)
-    fused = merge_heads(matmul(attn, v))
+    """Attention block without the residual: q/k/v projections, attention, output projection.
+
+    `keep` holds the scale's decisions over all of `source` (training), or is
+    None when `source` is already the gathered kept keys (inference).
+    """
+    if diagnostics is not None and keep is not None and not np.any(keep.data > 0):
+        diagnostics.zero_mask_rows += queries.shape[0]
+    fused = attention(
+        (queries @ params.wq) + params.bq,
+        (source @ params.wk) + params.bk,
+        (source @ params.wv) + params.bv,
+        keep, params.head_count, literal=literal,
+    )
     return (fused @ params.wo) + params.bo
 
 
@@ -238,9 +160,17 @@ def projection_stage_macs(n_tokens: int, n_short: int, common_dim: int) -> int:
     return 3 * n_tokens * n_short * common_dim
 
 
-def scale_mask(decisions: DecisionSet, scale: int, seq: TokenSequence, n_queries: int) -> AttentionMask:
-    q_col = slice_axis(decisions.Q, 1, scale - 1, scale).reshape(seq.length)
-    return AttentionMask(decisions=q_col, query_count=n_queries)
+def scale_keys(seq: TokenSequence, decisions: DecisionSet, scale: int):
+    """One scale's (keys, keep): all L tokens and their decisions in training,
+    the gathered top-k tokens and None at inference.
+
+    Training keeps all L keys even though dropped ones get zero weight: the
+    straight-through gradient to a dropped token's decision needs that
+    token's score, which a gathered key set would not have.
+    """
+    if decisions.mode == "training":
+        return seq.tokens, slice_axis(decisions.Q, 1, scale - 1, scale).reshape(seq.length)
+    return gather_rows(seq.tokens, decisions.topk[scale - 1]), None
 
 
 def mca_fuse(
@@ -254,25 +184,11 @@ def mca_fuse(
     diagnostics: Optional[FusionDiagnostics] = None,
 ) -> Tensor:
     """One scale's fused rows (N_i x D): masked in training, gathered at inference."""
-    n = queries.shape[0]
-    if decisions.mode == "training":
-        mask = scale_mask(decisions, scale, seq, n)
-        out = mca_core(queries, seq.tokens, params, mask, literal=literal, diagnostics=diagnostics)
-        n_keys = seq.length
-    else:
-        picked = gather_rows(seq.tokens, decisions.topk[scale - 1])
-        out = mca_core(queries, picked, params, mask=None, diagnostics=diagnostics)
-        n_keys = picked.shape[0]
+    n, d = queries.shape
+    source, keep = scale_keys(seq, decisions, scale)
+    out = mca_core(queries, source, params, keep, literal=literal, diagnostics=diagnostics)
     if diagnostics is not None:
-        diagnostics.per_scale.append(
-            ScaleFusionStats(
-                scale=scale,
-                path="base",
-                attention_macs=attention_stage_macs(n, n_keys, queries.shape[1]),
-                projection_macs=0,
-                peak_activation_floats=0,
-            )
-        )
+        diagnostics.per_scale.append(ScaleFusionStats(scale, "base", attention_stage_macs(n, source.shape[0], d)))
     return (out + queries) if residual else out
 
 
@@ -302,25 +218,13 @@ def mca_fuse_projected(
     n, d = queries.shape
     proj, compact = project_tokens(queries, gen)
     n_short = compact.shape[0]
-    if decisions.mode == "training":
-        mask = scale_mask(decisions, scale, seq, n_short)
-        core = mca_core(compact, seq.tokens, params, mask, literal=literal, diagnostics=diagnostics)
-        n_keys = seq.length
-    else:
-        picked = gather_rows(seq.tokens, decisions.topk[scale - 1])
-        core = mca_core(compact, picked, params, mask=None, diagnostics=diagnostics)
-        n_keys = picked.shape[0]
+    source, keep = scale_keys(seq, decisions, scale)
+    core = mca_core(compact, source, params, keep, literal=literal, diagnostics=diagnostics)
     out = proj @ core
     if diagnostics is not None:
-        diagnostics.per_scale.append(
-            ScaleFusionStats(
-                scale=scale,
-                path="projected",
-                attention_macs=attention_stage_macs(n_short, n_keys, d),
-                projection_macs=projection_stage_macs(n, n_short, d),
-                peak_activation_floats=0,
-            )
-        )
+        diagnostics.per_scale.append(ScaleFusionStats(
+            scale, "projected", attention_stage_macs(n_short, source.shape[0], d),
+            projection_macs=projection_stage_macs(n, n_short, d)))
     return (out + queries) if residual else out
 
 

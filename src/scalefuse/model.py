@@ -71,6 +71,11 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> "ModelConfig":
+        for name in ("image_h", "image_w", "heads", "base_channels", "common_dim"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
+        if min(self.aux_weight, self.ratio_weight) < 0:
+            raise ConfigurationError("aux_weight and ratio_weight must be >= 0")
         if self.image_h % 32 or self.image_w % 32:
             raise ConfigurationError(f"image {self.image_h}x{self.image_w} not divisible by 32")
         if self.common_dim % self.heads:

@@ -118,9 +118,6 @@ class FeaturePyramid:
     common_dim: int
     enhanced_levels: Optional[List[Tensor]] = None
 
-    def level_shape(self, level: int) -> tuple:
-        return self.raw_levels[level - 1].shape[1:]
-
 
 @dataclass
 class TokenSequence:

@@ -6,6 +6,10 @@ an expression DAG; ``backward()`` linearizes it into a :class:`Tape` (inputs
 strictly before outputs) and replays the recorded backward rules in reverse.
 Forward functions never mutate their inputs; ``reshape``/``transpose`` copy.
 
+Multi-head attention is one op, :func:`attention`: the head split, scaled
+scores, the (masked) softmax of :func:`masked_softmax` and the head merge run
+inside it, and its closed-form backward keeps a single (h, N, L) array.
+
 Everything runs in float64 on purpose: the test suite leans on central finite
 differences, which need the precision far more than this code needs speed.
 """
@@ -14,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +26,6 @@ from scipy.special import erf
 __all__ = [
     "Tensor",
     "Tape",
-    "TapeRecord",
     "DimensionError",
     "ConfigurationError",
     "no_grad",
@@ -38,6 +40,8 @@ __all__ = [
     "upsample_nearest",
     "downsample_nearest",
     "cross_entropy",
+    "masked_softmax",
+    "attention",
     "glorot_uniform",
     "zeros_param",
 ]
@@ -75,7 +79,8 @@ def no_grad():
 
 
 class ActivationMeter:
-    """Tracks live/peak float counts of tensors allocated while active.
+    """Tracks live/peak float counts of tensors (and of the attention op's
+    (h, N, L) buffers) allocated while active.
 
     Under ``no_grad`` intermediates are released as soon as references drop,
     so ``peak`` reflects the real simultaneous footprint; with the graph
@@ -86,11 +91,9 @@ class ActivationMeter:
     def __init__(self):
         self.current = 0
         self.peak = 0
-        self.total = 0
 
     def _alloc(self, n: int) -> None:
         self.current += n
-        self.total += n
         if self.current > self.peak:
             self.peak = self.current
 
@@ -122,10 +125,7 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self.op = ""
-        meter = _active_meter
-        if meter is not None:
-            meter._alloc(self.data.size)
-            weakref.finalize(self, meter._free, self.data.size)
+        _meter(self, self.data.size)
 
     # -- contract views -----------------------------------------------------
     @property
@@ -138,19 +138,8 @@ class Tensor:
         return self.data.reshape(-1)
 
     @property
-    def gradient(self) -> Optional[np.ndarray]:
-        return None if self.grad is None else self.grad.reshape(-1)
-
-    @property
     def size(self) -> int:
         return self.data.size
-
-    @property
-    def node(self) -> Optional["TapeRecord"]:
-        """Back-reference into the recorded graph; None for leaves."""
-        if self._backward is None:
-            return None
-        return TapeRecord(id(self), tuple(id(p) for p in self._parents), self.op, self._backward)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -171,10 +160,6 @@ class Tensor:
         for t in reversed(tape.ops):
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
-
-    def detach(self) -> "Tensor":
-        """Copy of the value with no graph attachment."""
-        return _fresh(self.data.copy())
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -319,11 +304,16 @@ def _fresh(data: np.ndarray) -> Tensor:
     t._parents = ()
     t._backward = None
     t.op = ""
+    _meter(t, t.data.size)
+    return t
+
+
+def _meter(owner, n: int) -> None:
+    """Count n floats against the active meter until `owner` is collected."""
     meter = _active_meter
     if meter is not None:
-        meter._alloc(t.data.size)
-        weakref.finalize(t, meter._free, t.data.size)
-    return t
+        meter._alloc(n)
+        weakref.finalize(owner, meter._free, n)
 
 
 def _result(data: np.ndarray, parents: tuple, backward, op: str) -> Tensor:
@@ -651,15 +641,99 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -
     return _result(out_data, (logits,), backward, "cross_entropy")
 
 
+# -- attention ------------------------------------------------------------------------------
+
+
+def masked_softmax(s: np.ndarray, keep: Optional[np.ndarray] = None, literal: bool = False):
+    """Normalise score rows s[..., L] over the kept keys, in place; returns (R, P).
+
+    P, the weights, is exactly zero at keys with keep <= 0 and on every row
+    when no key is kept.  R = exp(s - shift) / S over all L keys and
+    P = R * keep, with the shift the row max over kept keys and S the
+    keep-weighted row sum; `literal` (eq. 5 as written) uses no shift and
+    S = keep.sum(), so rows need not sum to 1.  S gets +1 when no key is
+    kept.  keep=None is a plain row softmax, with R = P.
+    """
+    if keep is None:
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        return s, s
+    dead = float(not (keep > 0).any())
+    if literal:
+        np.exp(s, out=s)
+        s /= keep.sum() + dead
+    else:
+        if not dead:
+            s -= s.max(axis=-1, keepdims=True, where=keep > 0, initial=-np.inf)
+        np.exp(s, out=s)
+        s /= (s @ keep)[..., None] + dead
+    return s, s * keep
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, keep: Optional[Tensor], heads: int,
+              literal: bool = False) -> Tensor:
+    """Multi-head attention of q[N,D] over k, v [L,D] as one op; scores scaled by 1/sqrt(D/heads).
+
+    `keep` is the length-L key decision shared by all heads and rows, or None
+    for a plain softmax (see masked_softmax).  Backward keeps only R and
+    rebuilds P = R * keep: dS = P (dP - rowsum(dP P)) and
+    d keep = sum over heads and rows of R (dP - rowsum(dP P)); under
+    `literal`, dS = P dP and d keep = sum R dP - sum(dP P) / S.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1]:
+        raise DimensionError(f"attention: need q[N,D], k[L,D], v[L,D]; got {q.shape}, {k.shape}, {v.shape}")
+    n, d = q.shape
+    if heads < 1 or d % heads:
+        raise ConfigurationError(f"attention: D={d} not divisible into {heads} heads")
+    if keep is not None and keep.shape != (k.shape[0],):
+        raise DimensionError(f"attention: keep {keep.shape} vs {k.shape[0]} keys")
+    scale = 1.0 / np.sqrt(d // heads)
+    m = None if keep is None else keep.data
+    literal = literal and m is not None
+
+    def by_head(x):  # (rows, D) -> (h, rows, D/h) view
+        return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+    def by_row(x):  # (h, rows, D/h) -> (rows, D)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+    qh, kh, vh = by_head(q.data), by_head(k.data), by_head(v.data)
+    s = qh @ kh.transpose(0, 2, 1)
+    s *= scale
+    # the (h, N, L) buffers are not Tensors, so the meter is told about them
+    _meter(s, s.size)
+    r, p = masked_softmax(s, m, literal)
+    if p is not r:
+        _meter(p, p.size)
+    out_data = by_row(p @ vh)
+
+    def backward(g):
+        gh = by_head(g)
+        p = r if m is None else r * m
+        if v.requires_grad:
+            v.accumulate_grad(by_row(p.transpose(0, 2, 1) @ gh))
+        dp = gh @ vh.transpose(0, 2, 1)
+        rowsum = np.einsum("hnl,hnl->hn", dp, p)[..., None]
+        if not literal:
+            dp -= rowsum
+        if m is not None and keep.requires_grad:
+            dkeep = np.einsum("hnl,hnl->l", r, dp)
+            if literal:
+                dkeep -= rowsum.sum() / (m.sum() + float(not (m > 0).any()))
+            keep.accumulate_grad(dkeep)
+        dp *= p
+        dp *= scale  # dp now holds dS
+        if q.requires_grad:
+            q.accumulate_grad(by_row(dp @ kh))
+        if k.requires_grad:
+            k.accumulate_grad(by_row(dp.transpose(0, 2, 1) @ qh))
+
+    parents = (q, k, v) if keep is None else (q, k, v, keep)
+    return _result(out_data, parents, backward, "attention")
+
+
 # -- tape introspection ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TapeRecord:
-    output_id: int
-    input_ids: tuple
-    op: str
-    backward_rule: Optional[Callable]
 
 
 class Tape:
@@ -686,13 +760,6 @@ class Tape:
                 if id(p) not in seen:
                     stack.append((p, False))
         return cls(order)
-
-    @property
-    def records(self) -> list:
-        return [
-            TapeRecord(id(t), tuple(id(p) for p in t._parents), t.op, t._backward)
-            for t in self.ops
-        ]
 
     def leaves(self) -> list:
         return [t for t in self.ops if not t._parents and t.requires_grad]

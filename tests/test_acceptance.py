@@ -12,13 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from scalefuse.fusion import AttentionMask, masked_normalize, mca_fuse
+from scalefuse.fusion import mca_fuse
 from scalefuse.gradcheck import central_diff, gradcheck_model
 from scalefuse.model import ModelConfig, ratio_loss
 from scalefuse.profiler import profile
 from scalefuse.pyramid import sequence_length
 from scalefuse.selection import DecisionSet, ScoreMatrix, gumbel_sample
-from scalefuse.tensor import Tensor
+from scalefuse.tensor import Tensor, masked_softmax
 from scalefuse.train import ablate, train
 
 from test_fusion import scalar_mca_oracle, seq_from_tokens, random_params
@@ -88,12 +88,11 @@ def test_criterion_03_masked_softmax_invariants():
         m = (rng.uniform(size=L) < rng.uniform(0.2, 0.9)).astype(float)
         if not m.any():
             m[int(rng.integers(0, L))] = 1.0
-        mask = AttentionMask(Tensor(m), n)
-        out = masked_normalize(Tensor(scores), mask).data
+        out = masked_softmax(scores.copy(), m)[1]
         assert np.all(out[:, :, m == 0] == 0.0), "masked-out entries must be exact zeros"
         worst_sum = max(worst_sum, float(np.max(np.abs(out.sum(axis=-1) - 1.0))))
         c = float(rng.normal() * 10)
-        shifted = masked_normalize(Tensor(scores + c), mask).data
+        shifted = masked_softmax(scores + c, m)[1]
         worst_shift = max(worst_shift, float(np.max(np.abs(out - shifted))))
     assert worst_sum < 1e-9 and worst_shift < 1e-9
     ok(3, f"1000 trials; row-sum err {worst_sum:.2e}, shift err {worst_shift:.2e}")

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from scalefuse.fusion import (
-    AttentionMask,
     FusionDiagnostics,
     MCAParams,
     ProjectionGenerator,
-    attention_scores,
     fuse_all_scales,
-    masked_normalize,
+    mca_core,
     mca_fuse,
     mca_fuse_projected,
     project_tokens,
 )
 from scalefuse.pyramid import TokenSequence
 from scalefuse.selection import DecisionSet, ScorerMLP, gumbel_sample, score
-from scalefuse.tensor import ConfigurationError, Tensor
+from scalefuse.tensor import ConfigurationError, Tensor, attention, masked_softmax
 
 
 def identity_params(D, h=1):
@@ -65,6 +63,25 @@ def scalar_mca_oracle(queries, source, params, mask_row=None, residual=False):
     return out + queries if residual else out
 
 
+def projected(x, w, b):
+    return x @ w.data + b.data
+
+
+def op_weights(q, k, h):
+    """The attention op's weights (h, N, L), read off by attending to one-hot values."""
+    L, D = k.shape
+    dk = D // h
+    v = np.zeros((L, D))
+    for head in range(h):
+        v[:, head * dk : head * dk + L] = np.eye(L)
+    out = attention(Tensor(q), Tensor(k), Tensor(v), None, h).data
+    return out.reshape(len(q), h, dk)[:, :, :L].transpose(1, 0, 2)
+
+
+def normalized(scores, m, literal=False):
+    return masked_softmax(scores.copy(), m, literal)[1]
+
+
 def seq_from_tokens(tokens, lengths=None):
     L = tokens.shape[0]
     lengths = lengths or [L, 0, 0, 0]
@@ -78,17 +95,18 @@ class TestAttentionScores:
     def test_orthogonal_rows_zero_off_diagonal(self):
         D = 4
         params = identity_params(D)
-        q = Tensor(np.eye(D)[:2] * 2.0)
-        k = Tensor(np.eye(D)[2:] * 3.0)  # disjoint one-hots -> all zero
-        out = attention_scores(q, k, params)
-        assert np.array_equal(out.data, np.zeros((1, 2, 2)))
+        q = projected(np.eye(D)[:2] * 2.0, params.wq, params.bq)
+        k = projected(np.eye(D)[2:] * 3.0, params.wk, params.bk)  # disjoint one-hots -> all zero
+        # all-zero scores give exactly uniform weights
+        assert np.array_equal(op_weights(q, k, 1), np.full((1, 2, 2), 0.5))
 
     def test_one_hot_diagonal_half(self):
         D = 4
         params = identity_params(D)  # h=1 -> d_k = 4
-        q = Tensor(np.eye(D))
-        out = attention_scores(q, q, params)
-        assert np.allclose(np.diag(out.data[0]), 0.5)
+        q = projected(np.eye(D), params.wq, params.bq)
+        w = op_weights(q, q, 1)
+        # diagonal scores 0.5, off-diagonal 0
+        assert np.allclose(np.diag(w[0]), np.exp(0.5) / (np.exp(0.5) + 3.0))
 
     def test_heads_must_divide(self):
         with pytest.raises(ConfigurationError):
@@ -99,29 +117,30 @@ class TestAttentionScores:
         D, h, N, M = 8, 2, 5, 7
         params = random_params(D, h, seed=2)
         qv, kv = rng.normal(size=(N, D)), rng.normal(size=(M, D))
-        out = attention_scores(Tensor(qv), Tensor(kv), params)
-        q = qv @ params.wq.data + params.bq.data
-        k = kv @ params.wk.data + params.bk.data
+        q = projected(qv, params.wq, params.bq)
+        k = projected(kv, params.wk, params.bk)
+        v = projected(kv, params.wv, params.bv)
+        out = attention(Tensor(q), Tensor(k), Tensor(v), None, h)
         dk = D // h
         for head in range(h):
+            cols = slice(head * dk, (head + 1) * dk)
             for i in range(N):
-                for j in range(M):
-                    ref = sum(q[i, head * dk + t] * k[j, head * dk + t] for t in range(dk))
-                    assert abs(out.data[head, i, j] - ref / math.sqrt(dk)) < 1e-9
+                ref = [sum(q[i, head * dk + t] * k[j, head * dk + t] for t in range(dk)) / math.sqrt(dk)
+                       for j in range(M)]
+                w = np.exp(np.array(ref) - max(ref))
+                expect = (w / w.sum()) @ v[:, cols]
+                assert np.max(np.abs(out.data[i, cols] - expect)) < 1e-9
 
 
 class TestMaskedNormalize:
     def test_uniform_row(self):
-        scores = Tensor(np.zeros((1, 1, 4)))
-        mask = AttentionMask(Tensor(np.ones(4)), query_count=1)
-        out = masked_normalize(scores, mask)
-        assert np.allclose(out.data, 0.25, atol=1e-15)
+        out = normalized(np.zeros((1, 1, 4)), np.ones(4))
+        assert np.allclose(out, 0.25, atol=1e-15)
 
     def test_two_key_symmetry(self):
         s = np.array([[[1.3, 1.3, -5.0, 9.9]]])
-        mask = AttentionMask(Tensor(np.array([1.0, 1.0, 0.0, 0.0])), query_count=1)
-        out = masked_normalize(Tensor(s), mask)
-        assert np.allclose(out.data[0, 0], [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+        out = normalized(s, np.array([1.0, 1.0, 0.0, 0.0]))
+        assert np.allclose(out[0, 0], [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
     def test_properties_random(self):
         rng = np.random.default_rng(3)
@@ -131,39 +150,53 @@ class TestMaskedNormalize:
             m = (rng.uniform(size=L) < 0.6).astype(float)
             if not m.any():
                 m[rng.integers(0, L)] = 1.0
-            out = masked_normalize(Tensor(scores), AttentionMask(Tensor(m), n))
-            assert np.all(out.data[:, :, m == 0] == 0.0)
-            assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)
-            shifted = masked_normalize(Tensor(scores + 7.3), AttentionMask(Tensor(m), n))
-            assert np.allclose(out.data, shifted.data, atol=1e-9)
+            out = normalized(scores, m)
+            assert np.all(out[:, :, m == 0] == 0.0)
+            assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-9)
+            shifted = normalized(scores + 7.3, m)
+            assert np.allclose(out, shifted, atol=1e-9)
 
     def test_all_masked_row_zero_and_counted(self):
+        out = normalized(np.random.default_rng(4).normal(size=(2, 3, 5)), np.zeros(5))
+        assert np.array_equal(out, np.zeros((2, 3, 5)))
         diag = FusionDiagnostics()
-        out = masked_normalize(
-            Tensor(np.random.default_rng(4).normal(size=(2, 3, 5))),
-            AttentionMask(Tensor(np.zeros(5)), query_count=3),
-            diagnostics=diag,
-        )
-        assert np.array_equal(out.data, np.zeros((2, 3, 5)))
+        rng = np.random.default_rng(4)
+        mca_core(Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(5, 8))),
+                 random_params(8, 2), Tensor(np.zeros(5)), diagnostics=diag)
         assert diag.zero_mask_rows == 3
 
     def test_literal_variant_count_normalizes(self):
         s = np.array([[[0.5, -1.0, 2.0]]])
         m = np.array([1.0, 0.0, 1.0])
-        out = masked_normalize(Tensor(s), AttentionMask(Tensor(m), 1), literal=True)
+        out = normalized(s, m, literal=True)
         expect = np.exp(s[0, 0]) * m / m.sum()
-        assert np.allclose(out.data[0, 0], expect, atol=1e-12)
+        assert np.allclose(out[0, 0], expect, atol=1e-12)
 
     def test_mask_matrix_repeats_decisions_across_rows(self):
         m = np.array([1.0, 0.0, 1.0, 1.0])
-        mask = AttentionMask(Tensor(m), query_count=5)
-        mat = mask.matrix
-        assert mat.shape == (5, 4)
-        assert all(np.array_equal(row, m) for row in mat)
-        # all heads consume the same mask tensor: one decision vector per scale
-        scores = Tensor(np.random.default_rng(0).normal(size=(3, 5, 4)))
-        out = masked_normalize(scores, mask).data
+        # all heads and all 5 query rows consume the same decision vector per scale
+        scores = np.random.default_rng(0).normal(size=(3, 5, 4))
+        out = normalized(scores, m)
+        assert np.array_equal(out > 0, np.broadcast_to(m > 0, out.shape))
         assert np.all(out[:, :, m == 0] == 0.0)
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_dead_rows_exact_zero_counted_finite_gradients(self, literal):
+        rng = np.random.default_rng(24)
+        D, h, L, N = 8, 2, 6, 4
+        params = random_params(D, h, seed=25)
+        queries = Tensor(rng.normal(size=(N, D)), requires_grad=True)
+        tokens = Tensor(rng.normal(size=(L, D)), requires_grad=True)
+        keep = Tensor(np.zeros(L), requires_grad=True)
+        diag = FusionDiagnostics()
+        out = mca_core(queries, tokens, params, keep, literal=literal, diagnostics=diag)
+        # zero attention rows leave only the output bias
+        assert np.array_equal(out.data, np.broadcast_to(params.bo.data, (N, D)))
+        assert diag.zero_mask_rows == N
+        (out * Tensor(rng.normal(size=(N, D)))).sum().backward()
+        for t in (queries, tokens, keep, params.wq, params.wk, params.wv, params.wo):
+            assert t.grad is not None and np.all(np.isfinite(t.grad))
+        assert np.any(keep.grad != 0.0)  # the straight-through path still sees dropped keys
 
 
 class TestMcaFuse:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scalefuse.checkpoint import save_checkpoint
 from scalefuse.cli import main
 from scalefuse.model import ModelConfig, SegmentationModel
 from scalefuse.profiler import profile
@@ -186,6 +187,21 @@ class TestCLI:
                      "--seed", "7", "--eval-scenes", "1"]) == 0
         report = json.loads((o1 / "report.json").read_text())
         assert report["config"]["seed"] == 7
+
+    def test_malformed_checkpoint_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, ModelConfig.tiny().to_dict(), {"w": np.zeros(3)})
+        raw = path.read_bytes()
+        for blob in (raw[:-5], raw + b"\x00\x01\x02", b"XXXX" + raw[4:]):
+            path.write_bytes(blob)
+            rc = main(["eval", "--checkpoint", str(path), "--scenes", "1", "--out", str(tmp_path / "ev")])
+            assert rc == 3
+            assert "checkpoint error" in capsys.readouterr().err
+        proc = subprocess.run([sys.executable, "-m", "scalefuse.cli", "eval", "--checkpoint", str(path),
+                               "--scenes", "1", "--out", str(tmp_path / "ev")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr and "checkpoint error" in proc.stderr
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "scalefuse.cli", "--help"],

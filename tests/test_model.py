@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scalefuse.checkpoint import load_checkpoint, save_checkpoint
+from scalefuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from scalefuse.gradcheck import central_diff
 from scalefuse.model import (
     ModelConfig,
@@ -176,7 +176,23 @@ class TestCheckpoint:
         save_checkpoint(path, cfg.to_dict(), {"w": np.zeros((2, 3))})
         raw = path.read_bytes()
         assert raw[:4] == b"FSFM"
-        assert int.from_bytes(raw[4:8], "little") == 1
+        assert int.from_bytes(raw[4:8], "little") == 2
+
+    def test_every_truncation_and_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "tiny.bin"
+        save_checkpoint(path, {"seed": 0}, {"a.w": np.arange(6.0).reshape(2, 3), "b": np.array(1.5)})
+        raw = path.read_bytes()
+        bad = tmp_path / "bad.bin"
+        for cut in range(len(raw)):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(bad)
+        bad.write_bytes(raw + b"\x00\x01\x02")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(bad)
+        bad.write_bytes(b"XXXX" + raw[4:])
+        with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(bad)
 
     def test_state_mismatch_rejected(self):
         model, cfg = tiny_model()
@@ -201,6 +217,15 @@ class TestConfig:
             ModelConfig(merge="mean").validate()
         with pytest.raises(ConfigurationError):
             ModelConfig(use_fff=False, use_sfs=True).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("image_h", 0), ("image_w", 0), ("image_h", -32), ("image_w", -64),
+        ("heads", 0), ("heads", -2), ("base_channels", 0), ("base_channels", -4),
+        ("common_dim", 0), ("common_dim", -32), ("aux_weight", -1.0), ("ratio_weight", -1.0),
+    ])
+    def test_nonpositive_sizes_and_negative_weights_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            ModelConfig(**{field: value}).validate()
 
     def test_roundtrip_dict(self):
         cfg = ModelConfig(common_dim=16, heads=4, use_projection_on=(1, 3))

@@ -226,10 +226,10 @@ class TestInvariants:
         b = t([2.0], rg=True)
         loss = ((a * b) + a.exp()).sum()
         tape = Tape.from_root(loss)
-        pos = {rec.output_id: i for i, rec in enumerate(tape.records)}
-        for rec in tape.records:
-            for pid in rec.input_ids:
-                assert pos[pid] < pos[rec.output_id]
+        pos = {id(node): i for i, node in enumerate(tape.ops)}
+        for node in tape.ops:
+            for parent in node._parents:
+                assert pos[id(parent)] < pos[id(node)]
         assert set(id(leaf) for leaf in tape.leaves()) == {id(a), id(b)}
 
     def test_backward_populates_all_leaves(self):

@@ -9,6 +9,7 @@ import numpy as np
 from scalefuse.gradcheck import central_diff, rel_error
 from scalefuse.tensor import (
     Tensor,
+    attention,
     concat,
     conv2d,
     cross_entropy,
@@ -131,6 +132,22 @@ def test_spatial_ops():
              [rand(2, 6, 6, seed=45), rand(3, 2, 2, 2, seed=46)], tol=1e-6)
     fd_check(lambda ts: upsample_nearest(ts[0], 2).exp().sum(), [rand(2, 3, 3, seed=47) * 0.4])
     fd_check(lambda ts: downsample_nearest(ts[0], 2).exp().sum(), [rand(2, 4, 4, seed=48) * 0.4])
+
+
+def test_attention_masked_and_literal():
+    # q, k, v and a soft keep in (0, 1), under both normalisations
+    w = rand(5, 8, seed=53)
+    arrays = [rand(5, 8, seed=54), rand(7, 8, seed=55), rand(7, 8, seed=56),
+              rand(7, seed=57, lo=0.05, hi=0.95)]
+    for literal in (False, True):
+        fd_check(lambda ts: (attention(ts[0], ts[1], ts[2], ts[3], 2, literal=literal) * Tensor(w)).sum(),
+                 arrays)
+
+
+def test_attention_unmasked():
+    w = rand(4, 6, seed=58)
+    fd_check(lambda ts: (attention(ts[0], ts[1], ts[2], None, 3) * Tensor(w)).sum(),
+             [rand(4, 6, seed=59), rand(5, 6, seed=60), rand(5, 6, seed=61)])
 
 
 def test_upsample_gradient_is_factor_squared():
