@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 from typing import Dict, Tuple
@@ -47,7 +48,24 @@ def save_checkpoint(path, config_dict: dict, params: Dict[str, np.ndarray]) -> N
         for d in arr.shape:
             blob += struct.pack("<Q", d)
         blob += arr.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    write_atomic(path, bytes(blob))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, then rename it over `path`.
+
+    A write that fails part-way leaves any earlier file at `path` unchanged
+    and removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:

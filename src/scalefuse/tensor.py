@@ -8,7 +8,10 @@ Forward functions never mutate their inputs; ``reshape``/``transpose`` copy.
 
 Multi-head attention is one op, :func:`attention`: the head split, scaled
 scores, the (masked) softmax of :func:`masked_softmax` and the head merge run
-inside it, and its closed-form backward keeps a single (h, N, L) array.
+inside it.  It makes few passes over its (h, N, L) score array: the scale is
+applied to the queries, the key mask to the values and keys (N x D and L x D),
+and the softmax row sum of the backward is taken from the output.  Its
+closed-form backward keeps a single (h, N, L) array.
 
 Everything runs in float64 on purpose: the test suite leans on central finite
 differences, which need the precision far more than this code needs speed.
@@ -189,10 +192,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
+    def __truediv__(self, other: float):
+        return scale(self, 1.0 / float(other))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -258,14 +259,6 @@ class Tensor:
             a.accumulate_grad(g / a.data)
 
         return _result(out_data, (self,), backward, "log")
-
-    def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
-
-        def backward(g, a=self):
-            a.accumulate_grad(g * (a.data > 0.0))
-
-        return _result(out_data, (self,), backward, "relu")
 
     def gelu(self) -> "Tensor":
         # exact erf form; derivative = Phi(x) + x * phi(x)
@@ -407,22 +400,6 @@ def mul(a, b) -> Tensor:
     return _result(out_data, (a, b), backward, "mul")
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out_data = a.data / b.data
-    except ValueError:
-        raise DimensionError(f"div: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-    def backward(g, a=a, b=b):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _result(out_data, (a, b), backward, "div")
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -433,22 +410,18 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product, or batched 3-D with equal leading dimension."""
-    if a.data.ndim == b.data.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise DimensionError(f"matmul: inner dims disagree for {a.shape} x {b.shape}")
-    elif a.data.ndim == b.data.ndim == 3:
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-            raise DimensionError(f"matmul: batched shapes {a.shape} x {b.shape} incompatible")
-    else:
+    """2-D matrix product."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(f"matmul: unsupported ranks for {a.shape} x {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul: inner dims disagree for {a.shape} x {b.shape}")
     out_data = a.data @ b.data
 
     def backward(g, a=a, b=b):
         if a.requires_grad:
-            a.accumulate_grad(g @ b.data.swapaxes(-1, -2))
+            a.accumulate_grad(g @ b.data.T)
         if b.requires_grad:
-            b.accumulate_grad(a.data.swapaxes(-1, -2) @ g)
+            b.accumulate_grad(a.data.T @ g)
 
     return _result(out_data, (a, b), backward, "matmul")
 
@@ -644,13 +617,14 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -
 # -- attention ------------------------------------------------------------------------------
 
 
-def masked_softmax(s: np.ndarray, keep: Optional[np.ndarray] = None, literal: bool = False):
-    """Normalise score rows s[..., L] over the kept keys, in place; returns (R, P).
+def masked_softmax(s: np.ndarray, keep: Optional[np.ndarray] = None, literal: bool = False) -> np.ndarray:
+    """Normalise score rows s[..., L] over the kept keys, in place; returns R.
 
-    P, the weights, is exactly zero at keys with keep <= 0 and on every row
-    when no key is kept.  R = exp(s - shift) / S over all L keys and
-    P = R * keep, with the shift the row max over kept keys and S the
-    keep-weighted row sum; `literal` (eq. 5 as written) uses no shift and
+    R = exp(s - shift) / S over all L keys, with the shift the row max over
+    kept keys (keep > 0) and S the keep-weighted row sum.  The weights
+    P = R * keep, exactly zero at keys with keep <= 0 and on every row when
+    no key is kept, are left to the caller (`attention` applies keep to its
+    values and keys instead).  `literal` (eq. 5 as written) uses no shift and
     S = keep.sum(), so rows need not sum to 1.  S gets +1 when no key is
     kept.  keep=None is a plain row softmax, with R = P.
     """
@@ -658,17 +632,20 @@ def masked_softmax(s: np.ndarray, keep: Optional[np.ndarray] = None, literal: bo
         s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
         s /= s.sum(axis=-1, keepdims=True)
-        return s, s
-    dead = float(not (keep > 0).any())
+        return s
+    kept = keep > 0
+    dead = float(not kept.any())
     if literal:
         np.exp(s, out=s)
         s /= keep.sum() + dead
     else:
         if not dead:
-            s -= s.max(axis=-1, keepdims=True, where=keep > 0, initial=-np.inf)
+            # numpy has no fast path for a max with where=; the gathered
+            # columns give the same (exact) max several times faster
+            s -= s[..., kept].max(axis=-1, keepdims=True)
         np.exp(s, out=s)
         s /= (s @ keep)[..., None] + dead
-    return s, s * keep
+    return s
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, keep: Optional[Tensor], heads: int,
@@ -676,10 +653,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: Optional[Tensor], heads: in
     """Multi-head attention of q[N,D] over k, v [L,D] as one op; scores scaled by 1/sqrt(D/heads).
 
     `keep` is the length-L key decision shared by all heads and rows, or None
-    for a plain softmax (see masked_softmax).  Backward keeps only R and
-    rebuilds P = R * keep: dS = P (dP - rowsum(dP P)) and
-    d keep = sum over heads and rows of R (dP - rowsum(dP P)); under
-    `literal`, dS = P dP and d keep = sum R dP - sum(dP P) / S.
+    for a plain softmax (see masked_softmax).  The scale is applied to q and
+    the mask to v (out = R (keep v)), so the weights P = R * keep are never
+    built.  Backward keeps one (h, N, L) array, R, and forms in its dP buffer
+    T = R (dP - rowsum), where rowsum = sum_l dP P = g . out per head (the
+    identity rowsum(dP P) = rowsum(dO O) of FlashAttention); under `literal`
+    T = R dP.  Then dS = T * keep, so dq = scale T (keep k),
+    dk = keep (T^T q_scaled), dv = keep (R^T g) and d keep = T's column sum
+    over heads and rows, less sum(rowsum) / S under `literal`.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1]:
         raise DimensionError(f"attention: need q[N,D], k[L,D], v[L,D]; got {q.shape}, {k.shape}, {v.shape}")
@@ -698,36 +679,34 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: Optional[Tensor], heads: in
     def by_row(x):  # (h, rows, D/h) -> (rows, D)
         return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
-    qh, kh, vh = by_head(q.data), by_head(k.data), by_head(v.data)
-    s = qh @ kh.transpose(0, 2, 1)
-    s *= scale
-    # the (h, N, L) buffers are not Tensors, so the meter is told about them
+    def masked(x):  # zero the rows of dropped keys
+        return x if m is None else x * m[:, None]
+
+    qh = by_head(q.data * scale)
+    s = qh @ by_head(k.data).transpose(0, 2, 1)
+    # the (h, N, L) buffer is not a Tensor, so the meter is told about it
     _meter(s, s.size)
-    r, p = masked_softmax(s, m, literal)
-    if p is not r:
-        _meter(p, p.size)
-    out_data = by_row(p @ vh)
+    r = masked_softmax(s, m, literal)
+    out_data = by_row(r @ by_head(masked(v.data)))
 
     def backward(g):
         gh = by_head(g)
-        p = r if m is None else r * m
         if v.requires_grad:
-            v.accumulate_grad(by_row(p.transpose(0, 2, 1) @ gh))
-        dp = gh @ vh.transpose(0, 2, 1)
-        rowsum = np.einsum("hnl,hnl->hn", dp, p)[..., None]
+            v.accumulate_grad(masked(by_row(r.transpose(0, 2, 1) @ gh)))
+        t = gh @ by_head(v.data).transpose(0, 2, 1)  # dP, over all L keys
+        rowsum = np.einsum("hnd,hnd->hn", gh, by_head(out_data))[..., None]
         if not literal:
-            dp -= rowsum
+            t -= rowsum
+        t *= r  # t now holds T; dS = T * keep
         if m is not None and keep.requires_grad:
-            dkeep = np.einsum("hnl,hnl->l", r, dp)
+            dkeep = t.sum(axis=(0, 1))
             if literal:
                 dkeep -= rowsum.sum() / (m.sum() + float(not (m > 0).any()))
             keep.accumulate_grad(dkeep)
-        dp *= p
-        dp *= scale  # dp now holds dS
         if q.requires_grad:
-            q.accumulate_grad(by_row(dp @ kh))
+            q.accumulate_grad(by_row(t @ by_head(masked(k.data))) * scale)
         if k.requires_grad:
-            k.accumulate_grad(by_row(dp.transpose(0, 2, 1) @ qh))
+            k.accumulate_grad(masked(by_row(t.transpose(0, 2, 1) @ qh)))
 
     parents = (q, k, v) if keep is None else (q, k, v, keep)
     return _result(out_data, parents, backward, "attention")

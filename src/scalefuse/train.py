@@ -17,7 +17,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .metrics import MIoUAccumulator
 from .model import IGNORE_INDEX, ModelConfig, SegmentationModel, total_loss
 from .pyramid import NUM_LEVELS
@@ -31,10 +31,11 @@ EVAL_SEED_OFFSET = 1      # eval scenes: 2j + 1
 
 
 class NumericError(RuntimeError):
-    """Loss went non-finite; carries the step index and term breakdown."""
+    """Loss or a parameter gradient went non-finite; carries the step index
+    and the loss term breakdown."""
 
-    def __init__(self, step: int, breakdown: Dict[str, float]):
-        super().__init__(f"non-finite loss at step {step}: {breakdown}")
+    def __init__(self, step: int, breakdown: Dict[str, float], what: str = "loss"):
+        super().__init__(f"non-finite {what} at step {step}: {breakdown}")
         self.step = step
         self.breakdown = breakdown
 
@@ -94,7 +95,7 @@ def _jsonable(obj):
 
 
 def write_report(path, report: dict) -> None:
-    Path(path).write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    write_atomic(path, (json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def train(
@@ -125,6 +126,9 @@ def train(
         if not np.isfinite(breakdown["total"]):
             raise NumericError(step, breakdown)
         loss.backward()
+        for name, p in model.parameters():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericError(step, breakdown, f"gradient of {name}")
         opt.step()
         opt.zero_grad()
         # training-mode realized keep ratio: mean of the hard decisions

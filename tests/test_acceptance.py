@@ -88,11 +88,11 @@ def test_criterion_03_masked_softmax_invariants():
         m = (rng.uniform(size=L) < rng.uniform(0.2, 0.9)).astype(float)
         if not m.any():
             m[int(rng.integers(0, L))] = 1.0
-        out = masked_softmax(scores.copy(), m)[1]
+        out = masked_softmax(scores.copy(), m) * m
         assert np.all(out[:, :, m == 0] == 0.0), "masked-out entries must be exact zeros"
         worst_sum = max(worst_sum, float(np.max(np.abs(out.sum(axis=-1) - 1.0))))
         c = float(rng.normal() * 10)
-        shifted = masked_softmax(scores + c, m)[1]
+        shifted = masked_softmax(scores + c, m) * m
         worst_shift = max(worst_shift, float(np.max(np.abs(out - shifted))))
     assert worst_sum < 1e-9 and worst_shift < 1e-9
     ok(3, f"1000 trials; row-sum err {worst_sum:.2e}, shift err {worst_shift:.2e}")

@@ -79,7 +79,7 @@ def op_weights(q, k, h):
 
 
 def normalized(scores, m, literal=False):
-    return masked_softmax(scores.copy(), m, literal)[1]
+    return masked_softmax(scores.copy(), m, literal) * m
 
 
 def seq_from_tokens(tokens, lengths=None):

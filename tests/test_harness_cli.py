@@ -12,7 +12,9 @@ from scalefuse.checkpoint import save_checkpoint
 from scalefuse.cli import main
 from scalefuse.model import ModelConfig, SegmentationModel
 from scalefuse.profiler import profile
-from scalefuse.train import NumericError, ablate, evaluate, train
+from scalefuse.tensor import Tensor
+from scalefuse.train import NumericError, ablate, evaluate, train, write_report
+import scalefuse.checkpoint as checkpoint_mod
 import scalefuse.train as train_mod
 
 TINY = dict(image_h=32, image_w=32, num_classes=3, base_channels=4,
@@ -78,9 +80,69 @@ class TestTrainLoop:
             train(ModelConfig.tiny(), 3, tmp_path, eval_scenes=1, export_maps=False)
         assert e.value.step == 0 and "seg" in e.value.breakdown
 
+    def test_non_finite_gradient_names_parameter(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        class Recorded(SegmentationModel):
+            def __init__(self, config):
+                super().__init__(config)
+                built.append(self)
+
+        real_backward = Tensor.backward
+
+        def poisoned(loss):  # a finite loss whose backward yields a NaN
+            real_backward(loss)
+            list(built[-1].parameters())[-1][1].grad.flat[0] = np.nan
+
+        monkeypatch.setattr(train_mod, "SegmentationModel", Recorded)
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        with pytest.raises(NumericError) as e:
+            train(ModelConfig.tiny(), 3, tmp_path / "api", eval_scenes=1, export_maps=False)
+        name = list(built[0].parameters())[-1][0]
+        assert e.value.step == 0 and f"non-finite gradient of {name} at step 0" in str(e.value)
+        cfg = write_config(tmp_path)
+        code = main(["train", "--config", str(cfg), "--steps", "2", "--out", str(tmp_path / "cli"),
+                     "--eval-scenes", "1"])
+        assert code == 2 and f"gradient of {name}" in capsys.readouterr().err
+
     def test_training_mode_keep_ratios_logged(self, tmp_path):
         report = train(ModelConfig.tiny(), 2, tmp_path, eval_scenes=1, export_maps=False)
         assert all(len(entry["keep_ratios"]) == 4 for entry in report["steps"])
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [
+        lambda path: save_checkpoint(path, {"a": 1}, {"w": np.ones((4, 4))}),
+        lambda path: write_report(path, {"a": list(range(100))}),
+    ], ids=["checkpoint", "report"])
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "out"
+        path.write_bytes(b"earlier")
+        real_open = open
+
+        class HalfWriter:  # writes half of the bytes, then fails like a full disk
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(checkpoint_mod, "open", lambda p, mode: HalfWriter(real_open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError):
+            write(path)
+        assert path.read_bytes() == b"earlier"
+        assert list(tmp_path.iterdir()) == [path]
+        monkeypatch.undo()
+        write(path)
+        assert path.read_bytes() != b"earlier" and list(tmp_path.iterdir()) == [path]
 
 
 class TestProfiler:

@@ -41,12 +41,6 @@ class TestMatmul:
             matmul(t(np.zeros((2, 3))), t(np.zeros((4, 5))))
         assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
 
-    def test_batched(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2))
-        out = matmul(t(a), t(b))
-        assert np.allclose(out.data, a @ b)
-
 
 class TestSoftmax:
     def test_symmetry(self):
