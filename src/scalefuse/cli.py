@@ -38,6 +38,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(minimum: int):
+    """argparse type: an integer >= minimum; argparse reports a ValueError."""
+    def count(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"{text} is below {minimum}")
+        return int(text)
+    return count
+
+
+def size_list(text: str) -> list:
+    """argparse type: comma-separated integers >= 1, at least one."""
+    sizes = [_count(1)(s) for s in text.split(",") if s]
+    if not sizes:
+        raise argparse.ArgumentTypeError("must list at least one size")
+    return sizes
+
+
 def _load_config(path) -> ModelConfig:
     with open(path) as fh:
         data = json.load(fh)
@@ -50,24 +67,24 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a model on synthetic scenes")
     p.add_argument("--config", required=True)
-    p.add_argument("--steps", required=True, type=int)
+    p.add_argument("--steps", required=True, type=_count(0))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--eval-every", type=int, default=500)
-    p.add_argument("--eval-scenes", type=int, default=8)
+    p.add_argument("--eval-every", type=_count(1), default=500)
+    p.add_argument("--eval-scenes", type=_count(1), default=8)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on held-out scenes")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--scenes", required=True, type=int)
+    p.add_argument("--scenes", required=True, type=_count(1))
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     p.add_argument("--profile", choices=("tiny", "default"), default="tiny")
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_count(1), default=10)
 
     p = sub.add_parser("profile", help="MAC/memory accounting, projection on vs off")
-    p.add_argument("--sizes", default="32,64,128,256")
+    p.add_argument("--sizes", type=size_list, default="32,64,128,256")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
 
@@ -78,12 +95,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="train the ablation ladder and summarize")
     p.add_argument("--variants", default=",".join(ABLATION_VARIANTS))
-    p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--seeds", type=_count(1), default=3)
+    p.add_argument("--steps", type=_count(0), default=2000)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--eval-every", type=int, default=1000)
-    p.add_argument("--eval-scenes", type=int, default=8)
+    p.add_argument("--eval-every", type=_count(1), default=1000)
+    p.add_argument("--eval-scenes", type=_count(1), default=8)
 
     return parser
 
@@ -121,13 +138,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes:
-        raise UsageError("--sizes must list at least one size")
     base = _load_config(args.config) if args.config else None
-    result = profile(sizes, base)
+    result = profile(args.sizes, base)
     write_report(args.out, result)
-    print(f"profiled sizes {sizes}; wrote {args.out}")
+    print(f"profiled sizes {args.sizes}; wrote {args.out}")
     return 0
 
 

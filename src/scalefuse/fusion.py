@@ -7,10 +7,11 @@ both go through `mca_core`, the latter with compacted queries.  Scale-level
 selection decides which keys are in play: during training the scale's
 binary keep decisions go to the op as a mask shared by all heads and query
 rows; at inference the selected tokens are gathered up front and the op
-runs unmasked.  The
-projection variant compresses the query sequence to N/r rows with a learned
-column-stochastic matrix, attends at the short length, and re-projects the
-output, which is where the quadratic score-matrix cost actually shrinks.
+runs unmasked.  Without selection (no decision set) it runs unmasked over
+all L tokens.  The projection variant compresses the query sequence to N/r
+rows with a learned column-stochastic matrix, attends at the short length,
+and re-projects the output, which is where the quadratic score-matrix cost
+actually shrinks.
 
 Normalization note: the exp-weighted, max-shifted masked softmax is the
 default; the count-normalized literal variant (`eq5_literal`) divides the
@@ -21,6 +22,7 @@ rule: such rows come out exactly zero and are tallied in the diagnostics.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
@@ -29,7 +31,6 @@ import numpy as np
 from .pyramid import NUM_LEVELS, FeaturePyramid, TokenSequence
 from .selection import DecisionSet
 from .tensor import (
-    ActivationMeter,
     ConfigurationError,
     Tensor,
     attention,
@@ -104,7 +105,7 @@ class ScaleFusionStats:
     path: str  # "base" | "projected"
     attention_macs: int
     projection_macs: int = 0
-    peak_activation_floats: int = 0  # filled in by fuse_all_scales
+    peak_activation_floats: Optional[int] = None  # traced bytes / 8, only while tracemalloc traces
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -160,14 +161,17 @@ def projection_stage_macs(n_tokens: int, n_short: int, common_dim: int) -> int:
     return 3 * n_tokens * n_short * common_dim
 
 
-def scale_keys(seq: TokenSequence, decisions: DecisionSet, scale: int):
+def scale_keys(seq: TokenSequence, decisions: Optional[DecisionSet], scale: int):
     """One scale's (keys, keep): all L tokens and their decisions in training,
-    the gathered top-k tokens and None at inference.
+    the gathered top-k tokens and None at inference, and all L tokens and
+    None without selection (`decisions` None).
 
     Training keeps all L keys even though dropped ones get zero weight: the
     straight-through gradient to a dropped token's decision needs that
     token's score, which a gathered key set would not have.
     """
+    if decisions is None:
+        return seq.tokens, None
     if decisions.mode == "training":
         return seq.tokens, slice_axis(decisions.Q, 1, scale - 1, scale).reshape(seq.length)
     return gather_rows(seq.tokens, decisions.topk[scale - 1]), None
@@ -176,7 +180,7 @@ def scale_keys(seq: TokenSequence, decisions: DecisionSet, scale: int):
 def mca_fuse(
     queries: Tensor,
     seq: TokenSequence,
-    decisions: DecisionSet,
+    decisions: Optional[DecisionSet],
     params: MCAParams,
     scale: int,
     residual: bool = True,
@@ -206,7 +210,7 @@ def project_tokens(queries: Tensor, gen: ProjectionGenerator):
 def mca_fuse_projected(
     queries: Tensor,
     seq: TokenSequence,
-    decisions: DecisionSet,
+    decisions: Optional[DecisionSet],
     params: MCAParams,
     gen: ProjectionGenerator,
     scale: int,
@@ -231,7 +235,7 @@ def mca_fuse_projected(
 def fuse_all_scales(
     pyramid: FeaturePyramid,
     seq: TokenSequence,
-    decisions: DecisionSet,
+    decisions: Optional[DecisionSet],
     params: List[MCAParams],
     generators: Dict[int, ProjectionGenerator],
     residual: bool = True,
@@ -240,22 +244,26 @@ def fuse_all_scales(
 ) -> List[FusedOutput]:
     """Fuse every scale against the full sequence; reshape via provenance order."""
     outputs = []
+    tracing = tracemalloc.is_tracing()
     for scale in range(1, NUM_LEVELS + 1):
         lo, hi = seq.scale_slice(scale)
         queries = slice_axis(seq.tokens, 0, lo, hi)
-        with ActivationMeter() as meter:
-            if scale in generators:
-                rows = mca_fuse_projected(
-                    queries, seq, decisions, params[scale - 1], generators[scale],
-                    scale, residual=residual, literal=literal, diagnostics=diagnostics,
-                )
-            else:
-                rows = mca_fuse(
-                    queries, seq, decisions, params[scale - 1], scale,
-                    residual=residual, literal=literal, diagnostics=diagnostics,
-                )
-        if diagnostics is not None:
-            diagnostics.per_scale[-1].peak_activation_floats = meter.peak
+        if tracing:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+        if scale in generators:
+            rows = mca_fuse_projected(
+                queries, seq, decisions, params[scale - 1], generators[scale],
+                scale, residual=residual, literal=literal, diagnostics=diagnostics,
+            )
+        else:
+            rows = mca_fuse(
+                queries, seq, decisions, params[scale - 1], scale,
+                residual=residual, literal=literal, diagnostics=diagnostics,
+            )
+        if tracing and diagnostics is not None:
+            peak = tracemalloc.get_traced_memory()[1]
+            diagnostics.per_scale[-1].peak_activation_floats = (peak - start) // 8
         h, w = seq.level_shapes[scale - 1]
         d = rows.shape[1]
         outputs.append(FusedOutput(scale=scale, rows=rows, feature_map=rows.transpose().reshape(d, h, w)))

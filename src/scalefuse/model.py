@@ -15,6 +15,8 @@ toward `target_ratio`.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
@@ -71,6 +73,19 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> "ModelConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_finite_real(value):
+                raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ConfigurationError(f"{f.name} must be true or false, got {value!r}")
+        if not isinstance(self.use_projection_on, (list, tuple)) or not all(
+                _is_int(s) for s in self.use_projection_on):
+            raise ConfigurationError(f"use_projection_on must be a list of scales, got {self.use_projection_on!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         for name in ("image_h", "image_w", "heads", "base_channels", "common_dim"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -106,12 +121,14 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
-        if "use_projection_on" in data:
+        if isinstance(data.get("use_projection_on"), list):  # validate rejects other types
             data["use_projection_on"] = tuple(data["use_projection_on"])
         return cls(**data).validate()
 
@@ -125,6 +142,17 @@ class ModelConfig:
         d.update(overrides)
         d["use_projection_on"] = tuple(d["use_projection_on"])
         return ModelConfig(**d).validate()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    try:  # math.isfinite overflows on an int too large for a float
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -266,16 +294,10 @@ class SegmentationModel:
                         noise=gumbel_noise, hard=hard_decisions)
                 else:
                     decisions = topk_select(scores, cfg.target_ratio)
-            else:
-                if mode == "train":
-                    ones = Tensor(np.ones((seq.length, NUM_LEVELS)))
-                    decisions = DecisionSet(mode="training", Q=ones)
-                else:
-                    all_idx = [np.arange(seq.length, dtype=np.int64) for _ in range(NUM_LEVELS)]
-                    decisions = DecisionSet(mode="inference", topk=all_idx)
+            # eq. 5's count normalisation is a training rule; inference takes the plain softmax
             fused = fuse_all_scales(
-                p, seq, decisions, self.mca, self.generators,
-                residual=cfg.residual, literal=cfg.eq5_literal, diagnostics=diagnostics)
+                p, seq, decisions, self.mca, self.generators, residual=cfg.residual,
+                literal=cfg.eq5_literal and mode == "train", diagnostics=diagnostics)
             maps = [f.feature_map for f in fused]
             at_stride4 = [maps[0]] + [upsample_nearest(maps[i], 2 ** i) for i in range(1, NUM_LEVELS)]
             merged = concat(at_stride4, axis=0) if cfg.merge == "concat" else _sum_maps(at_stride4)

@@ -1,16 +1,17 @@
 """MAC and activation-memory accounting for the fusion stage.
 
 Runs one training-mode forward per input size with the projection on and
-off, collecting the per-scale counters the fusion layer instruments while it
+off, collecting the per-scale counters the fusion layer records while it
 computes: attention-stage multiply-accumulates (score matrix plus
-attention-times-values), projection overhead, and the peak number of live
-activation floats inside each scale's fusion.  Forwards run without graph
-recording so intermediates are released as soon as they die, which is what
-makes the peak meaningful.
+attention-times-values), projection overhead, and the peak of each scale's
+fusion as traced bytes / 8 (float64 equivalents of every numpy buffer,
+`tracemalloc`).  Forwards run without graph recording so intermediates are
+released as soon as they die, which is what makes the peak meaningful.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -37,8 +38,15 @@ def _run(config: ModelConfig) -> List[dict]:
         height=config.image_h, width=config.image_w,
         num_classes=config.num_classes, seed=0))
     rng = np.random.default_rng(config.seed)
-    with no_grad():
-        out = model.forward(image, mode="train", rng=rng)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        with no_grad():
+            out = model.forward(image, mode="train", rng=rng)
+    finally:
+        if started:
+            tracemalloc.stop()
     return [s.to_dict() for s in out.fusion_diagnostics.per_scale]
 
 

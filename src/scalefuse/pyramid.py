@@ -26,8 +26,6 @@ from .tensor import (
 )
 
 NUM_LEVELS = 4
-# total stride of level i (1-based) relative to the input image
-LEVEL_STRIDES = (4, 8, 16, 32)
 
 
 def level_channels(base_channels: int, level: int) -> int:

@@ -20,7 +20,6 @@ differences, which need the precision far more than this code needs speed.
 from __future__ import annotations
 
 import contextlib
-import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,8 +31,6 @@ __all__ = [
     "DimensionError",
     "ConfigurationError",
     "no_grad",
-    "grad_enabled",
-    "ActivationMeter",
     "matmul",
     "concat",
     "gather_rows",
@@ -62,11 +59,6 @@ class ConfigurationError(ValueError):
 
 
 _grad_enabled = True
-_active_meter: Optional["ActivationMeter"] = None
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 @contextlib.contextmanager
@@ -81,44 +73,10 @@ def no_grad():
         _grad_enabled = prev
 
 
-class ActivationMeter:
-    """Tracks live/peak float counts of tensors (and of the attention op's
-    (h, N, L) buffers) allocated while active.
-
-    Under ``no_grad`` intermediates are released as soon as references drop,
-    so ``peak`` reflects the real simultaneous footprint; with the graph
-    recording (training) everything stays alive until backward, and ``peak``
-    degenerates to total-allocated, which is still a valid upper bound.
-    """
-
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
-
-    def _alloc(self, n: int) -> None:
-        self.current += n
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def _free(self, n: int) -> None:
-        self.current -= n
-
-    def __enter__(self) -> "ActivationMeter":
-        global _active_meter
-        self._outer = _active_meter
-        _active_meter = self
-        return self
-
-    def __exit__(self, *exc):
-        global _active_meter
-        _active_meter = self._outer
-        return False
-
-
 class Tensor:
     """Dense N-dimensional float64 value with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
 
     def __init__(self, data, requires_grad: bool = False):
         # always copy: the payload must never alias caller-owned memory
@@ -128,7 +86,6 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self.op = ""
-        _meter(self, self.data.size)
 
     # -- contract views -----------------------------------------------------
     @property
@@ -297,16 +254,7 @@ def _fresh(data: np.ndarray) -> Tensor:
     t._parents = ()
     t._backward = None
     t.op = ""
-    _meter(t, t.data.size)
     return t
-
-
-def _meter(owner, n: int) -> None:
-    """Count n floats against the active meter until `owner` is collected."""
-    meter = _active_meter
-    if meter is not None:
-        meter._alloc(n)
-        weakref.finalize(owner, meter._free, n)
 
 
 def _result(data: np.ndarray, parents: tuple, backward, op: str) -> Tensor:
@@ -626,12 +574,14 @@ def masked_softmax(s: np.ndarray, keep: Optional[np.ndarray] = None, literal: bo
     no key is kept, are left to the caller (`attention` applies keep to its
     values and keys instead).  `literal` (eq. 5 as written) uses no shift and
     S = keep.sum(), so rows need not sum to 1.  S gets +1 when no key is
-    kept.  keep=None is a plain row softmax, with R = P.
+    kept.  keep=None keeps every key: a plain row softmax, with R = P, or
+    exp(s) / L under `literal`.
     """
     if keep is None:
-        s -= s.max(axis=-1, keepdims=True)
+        if not literal:
+            s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
+        s /= s.shape[-1] if literal else s.sum(axis=-1, keepdims=True)
         return s
     kept = keep > 0
     dead = float(not kept.any())
@@ -653,7 +603,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: Optional[Tensor], heads: in
     """Multi-head attention of q[N,D] over k, v [L,D] as one op; scores scaled by 1/sqrt(D/heads).
 
     `keep` is the length-L key decision shared by all heads and rows, or None
-    for a plain softmax (see masked_softmax).  The scale is applied to q and
+    when every key is kept (see masked_softmax).  The scale is applied to q and
     the mask to v (out = R (keep v)), so the weights P = R * keep are never
     built.  Backward keeps one (h, N, L) array, R, and forms in its dP buffer
     T = R (dP - rowsum), where rowsum = sum_l dP P = g . out per head (the
@@ -671,7 +621,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: Optional[Tensor], heads: in
         raise DimensionError(f"attention: keep {keep.shape} vs {k.shape[0]} keys")
     scale = 1.0 / np.sqrt(d // heads)
     m = None if keep is None else keep.data
-    literal = literal and m is not None
 
     def by_head(x):  # (rows, D) -> (h, rows, D/h) view
         return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
@@ -684,8 +633,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: Optional[Tensor], heads: in
 
     qh = by_head(q.data * scale)
     s = qh @ by_head(k.data).transpose(0, 2, 1)
-    # the (h, N, L) buffer is not a Tensor, so the meter is told about it
-    _meter(s, s.size)
     r = masked_softmax(s, m, literal)
     out_data = by_row(r @ by_head(masked(v.data)))
 

@@ -229,6 +229,25 @@ class TestMcaFuse:
         b = mca_fuse(queries, seq, infer, params, scale=1)
         assert np.max(np.abs(a.data - b.data)) < 1e-10
 
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_no_decisions_match_all_ones_mask(self, literal):
+        rng = np.random.default_rng(16)
+        D, L, N = 8, 12, 5
+        tokens = rng.normal(size=(L, D))
+        queries = rng.normal(size=(N, D))
+        g = rng.normal(size=(N, D))
+
+        def run(decisions):
+            params = random_params(D, 4, seed=17)
+            seq = seq_from_tokens(Tensor(tokens))
+            out = mca_fuse(Tensor(queries), seq, decisions, params, scale=1, literal=literal)
+            (out * Tensor(g)).sum().backward()
+            return [out.data] + [p.grad for _, p in params.parameters("mca")]
+
+        ones = DecisionSet(mode="training", Q=Tensor(np.ones((L, 4))))
+        for got, want in zip(run(None), run(ones)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
     def test_against_scalar_oracle_masked(self):
         rng = np.random.default_rng(9)
         D, h, L, N = 8, 2, 14, 5

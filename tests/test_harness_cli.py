@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from scalefuse.checkpoint import save_checkpoint
 from scalefuse.cli import main
 from scalefuse.model import ModelConfig, SegmentationModel
-from scalefuse.profiler import profile
+from scalefuse.profiler import PROFILE_DEFAULTS, profile
+from scalefuse.pyramid import sequence_length
 from scalefuse.tensor import Tensor
 from scalefuse.train import NumericError, ablate, evaluate, train, write_report
 import scalefuse.checkpoint as checkpoint_mod
@@ -166,6 +168,31 @@ class TestProfiler:
         assert s1["attention_macs_projected"] < s1["attention_macs_base"]
         assert s1["peak_floats_projected"] < s1["peak_floats_base"]
 
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_scale1_peak_covers_score_array(self, size):
+        cfg = ModelConfig(**PROFILE_DEFAULTS)
+        s1 = profile([size])["results"][str(size)]["scale1"]
+        n, length = (size // 4) ** 2, sequence_length(size, size)
+        assert s1["peak_floats_base"] >= cfg.heads * n * length
+        assert s1["peak_floats_projected"] >= cfg.heads * (n // cfg.reduction_ratio) * length
+
+    @pytest.mark.parametrize("tracing", [False, True])
+    def test_profile_leaves_tracing_as_found(self, tracing):
+        if tracing:
+            tracemalloc.start()
+        try:
+            profile([32])
+            assert tracemalloc.is_tracing() == tracing
+        finally:
+            tracemalloc.stop()
+
+    def test_train_report_has_no_peak(self, tmp_path):
+        train(ModelConfig.tiny(), 0, tmp_path, eval_scenes=1, export_maps=False)
+        report = json.loads((tmp_path / "report.json").read_text())
+        stats = report["fusion"]["per_scale"]
+        assert len(stats) == 4
+        assert all(s["peak_activation_floats"] is None for s in stats)
+
 
 class TestAblate:
     def test_variant_map_and_summary(self, tmp_path):
@@ -222,14 +249,42 @@ class TestCLI:
                      "--scene-seed", "9", "--out", str(sel)]) == 0
         # inference exports carry exactly ceil(rho * L) selected flags per scale
         cfg_obj = ModelConfig.from_dict(json.loads(cfg.read_text()))
-        from scalefuse.pyramid import sequence_length
-
         L = sequence_length(cfg_obj.image_h, cfg_obj.image_w)
         expect = int(np.ceil(cfg_obj.target_ratio * L))
         for q in range(1, 5):
             with open(sel / f"selection_q{q}.csv") as fh:
                 rows = list(csv.DictReader(fh))
             assert sum(int(r["selected"]) for r in rows) == expect
+
+    @pytest.mark.parametrize("config,flags", [
+        (3, []),
+        ({"use_projection_on": 3}, []),
+        ({"heads": True}, []),
+        ({"image_h": 64.0}, []),
+        ({"seed": -1}, []),
+        ({"gumbel_temperature": float("nan")}, []),
+        ({}, ["--steps", "-3"]),
+        ({}, ["--eval-every", "0"]),
+        ({}, ["--eval-scenes", "0"]),
+        (None, ["eval", "--checkpoint", "c.bin", "--scenes", "0", "--out", "o"]),
+        (None, ["ablate", "--seeds", "0", "--out", "o"]),
+        (None, ["ablate", "--steps", "-1", "--out", "o"]),
+        (None, ["profile", "--sizes", "abc", "--out", "o"]),
+        (None, ["gradcheck", "--samples", "0"]),
+    ], ids=["number-config", "projection-not-list", "bool-heads", "float-size", "negative-seed",
+            "nan-temperature", "negative-steps", "zero-eval-every", "zero-eval-scenes",
+            "zero-scenes", "zero-seeds", "negative-ablate-steps", "non-integer-sizes", "zero-samples"])
+    def test_bad_config_or_count_exits_one(self, tmp_path, capsys, config, flags):
+        if config is None:
+            argv = flags
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config if not isinstance(config, dict) else {**TINY, **config}))
+            argv = ["train", "--config", str(path), "--steps", "1", "--out", str(tmp_path / "o"),
+                    "--eval-scenes", "1", *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
     def test_profile_cli_writes_json(self, tmp_path):
         out = tmp_path / "prof.json"

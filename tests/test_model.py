@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalefuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from scalefuse.gradcheck import central_diff
@@ -11,6 +15,19 @@ from scalefuse.model import (
 )
 from scalefuse.scenes import SyntheticSceneSpec, generate_scene
 from scalefuse.tensor import ConfigurationError, Tensor, no_grad
+
+
+# a few keys per dict, each drawn three times in four from values of its own
+# type (ints kept small so a valid config builds in milliseconds)
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 70), st.text(max_size=3),
+                  st.floats(allow_nan=True, allow_infinity=True), st.lists(st.integers(-1, 5), max_size=3))
+_TYPED = {"int": st.sampled_from([1, 2, 4, 8, 16, 32, 64]), "float": st.floats(0, 1),
+          "bool": st.booleans(), "str": st.sampled_from(["concat", "sum"]),
+          "Tuple[int, ...]": st.lists(st.integers(1, 4), max_size=2)}
+_VALUES = {f.name: st.one_of(_TYPED[f.type], _TYPED[f.type], _TYPED[f.type], _JUNK)
+           for f in fields(ModelConfig)}
+CONFIG_DICTS = st.lists(st.sampled_from(sorted(_VALUES)), max_size=4, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _VALUES[k] for k in keys}))
 
 
 def tiny_model(**overrides):
@@ -226,6 +243,18 @@ class TestConfig:
     def test_nonpositive_sizes_and_negative_weights_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
             ModelConfig(**{field: value}).validate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(CONFIG_DICTS)
+    def test_random_dicts_raise_or_build(self, data):
+        try:
+            cfg = ModelConfig.from_dict(data)
+        except ConfigurationError:
+            return
+        try:
+            SegmentationModel(cfg)
+        except ConfigurationError:
+            pass
 
     def test_roundtrip_dict(self):
         cfg = ModelConfig(common_dim=16, heads=4, use_projection_on=(1, 3))

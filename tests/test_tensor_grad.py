@@ -198,8 +198,9 @@ def test_attention_matches_unfused_rules(keep, literal):
 
 def test_attention_unmasked():
     w = rand(4, 6, seed=58)
-    fd_check(lambda ts: (attention(ts[0], ts[1], ts[2], None, 3) * Tensor(w)).sum(),
-             [rand(4, 6, seed=59), rand(5, 6, seed=60), rand(5, 6, seed=61)])
+    for literal in (False, True):
+        fd_check(lambda ts: (attention(ts[0], ts[1], ts[2], None, 3, literal=literal) * Tensor(w)).sum(),
+                 [rand(4, 6, seed=59), rand(5, 6, seed=60), rand(5, 6, seed=61)])
 
 
 def test_upsample_gradient_is_factor_squared():
