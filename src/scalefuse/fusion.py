@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .pyramid import NUM_LEVELS, FeaturePyramid, TokenSequence
+from .pyramid import NUM_LEVELS, TokenSequence
 from .selection import DecisionSet
 from .tensor import (
     ConfigurationError,
@@ -166,9 +166,11 @@ def scale_keys(seq: TokenSequence, decisions: Optional[DecisionSet], scale: int)
     the gathered top-k tokens and None at inference, and all L tokens and
     None without selection (`decisions` None).
 
-    Training keeps all L keys even though dropped ones get zero weight: the
+    Training passes all L keys even though dropped ones get zero weight: the
     straight-through gradient to a dropped token's decision needs that
-    token's score, which a gathered key set would not have.
+    token's score, which a gathered key set would not have.  The attention
+    op splits them itself, doing the full work only on kept keys and a score
+    pass, an exp and a share of one matmul on dropped ones.
     """
     if decisions is None:
         return seq.tokens, None
@@ -233,7 +235,6 @@ def mca_fuse_projected(
 
 
 def fuse_all_scales(
-    pyramid: FeaturePyramid,
     seq: TokenSequence,
     decisions: Optional[DecisionSet],
     params: List[MCAParams],

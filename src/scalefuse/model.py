@@ -108,6 +108,8 @@ class ModelConfig:
         bad = set(self.use_projection_on) - set(range(1, NUM_LEVELS + 1))
         if bad:
             raise ConfigurationError(f"use_projection_on has invalid scales {sorted(bad)}")
+        if len(set(self.use_projection_on)) != len(self.use_projection_on):
+            raise ConfigurationError(f"use_projection_on repeats a scale: {list(self.use_projection_on)}")
         if self.use_sfs and not self.use_fff:
             raise ConfigurationError("use_sfs requires use_fff (selection gates the fusion)")
         return self
@@ -296,7 +298,7 @@ class SegmentationModel:
                     decisions = topk_select(scores, cfg.target_ratio)
             # eq. 5's count normalisation is a training rule; inference takes the plain softmax
             fused = fuse_all_scales(
-                p, seq, decisions, self.mca, self.generators, residual=cfg.residual,
+                seq, decisions, self.mca, self.generators, residual=cfg.residual,
                 literal=cfg.eq5_literal and mode == "train", diagnostics=diagnostics)
             maps = [f.feature_map for f in fused]
             at_stride4 = [maps[0]] + [upsample_nearest(maps[i], 2 ** i) for i in range(1, NUM_LEVELS)]

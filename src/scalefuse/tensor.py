@@ -7,11 +7,14 @@ strictly before outputs) and replays the recorded backward rules in reverse.
 Forward functions never mutate their inputs; ``reshape``/``transpose`` copy.
 
 Multi-head attention is one op, :func:`attention`: the head split, scaled
-scores, the (masked) softmax of :func:`masked_softmax` and the head merge run
-inside it.  It makes few passes over its (h, N, L) score array: the scale is
-applied to the queries, the key mask to the values and keys (N x D and L x D),
-and the softmax row sum of the backward is taken from the output.  Its
-closed-form backward keeps a single (h, N, L) array.
+scores, the (masked) softmax that :func:`masked_softmax` writes out and the
+head merge run inside it.  Its keys split into the weighted ones (keep != 0)
+and the zero-keep ones, which add nothing to the output and get only a score
+pass, an exp and their share of one matmul, for the keep gradient.  Both
+blocks' exponentiated scores share one h*N*L buffer, whatever the split; it
+is all the closed-form backward keeps, and the backward overwrites it with
+the score gradient, so an op's backward runs once.  The normalised weights
+are never formed.
 
 Everything runs in float64 on purpose: the test suite leans on central finite
 differences, which need the precision far more than this code needs speed.
@@ -602,58 +605,129 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: Optional[Tensor], heads: in
               literal: bool = False) -> Tensor:
     """Multi-head attention of q[N,D] over k, v [L,D] as one op; scores scaled by 1/sqrt(D/heads).
 
-    `keep` is the length-L key decision shared by all heads and rows, or None
-    when every key is kept (see masked_softmax).  The scale is applied to q and
-    the mask to v (out = R (keep v)), so the weights P = R * keep are never
-    built.  Backward keeps one (h, N, L) array, R, and forms in its dP buffer
-    T = R (dP - rowsum), where rowsum = sum_l dP P = g . out per head (the
-    identity rowsum(dP P) = rowsum(dO O) of FlashAttention); under `literal`
-    T = R dP.  Then dS = T * keep, so dq = scale T (keep k),
-    dk = keep (T^T q_scaled), dv = keep (R^T g) and d keep = T's column sum
-    over heads and rows, less sum(rowsum) / S under `literal`.
+    `keep` is the length-L key weight shared by all heads and rows (the
+    scale's decisions), or None when every key is kept.  The op computes
+    out = (R * keep) v with R as `masked_softmax` writes it out, without
+    forming R.  The keys split into the K weighted ones (keep != 0; all L
+    when keep is None) and the L - K zero-keep ones, which add nothing to the
+    output but whose scores the keep gradient needs.  E = exp(s - shift) of
+    both blocks fills two contiguous parts of one h*N*L buffer; the shift is
+    the row max over the weighted block, folded into the zero-keep block's
+    matmul as [q | -shift] [k | 1]^T.  E_K [keep v | keep] gives the
+    unnormalised output and the row sum S in one matmul, and only that
+    N x D output is divided by S (+1 on rows with no kept key).  Under
+    `literal` there is no shift and S = keep.sum() (+1 when no key is kept).
+
+    Backward, with g' = g / S and rs' = rowsum / S (0 under `literal`),
+    where rowsum = sum_l dP P = g . out per head (FlashAttention's identity):
+    one product U = E^T [g' | -rs'] over all L keys gives dv = keep U[:, :D/h]
+    and d keep = sum_h (v . U[:, :D/h] + U[:, D/h]), less sum(rowsum) / S
+    under `literal`.  Then dS_K = ([g' | -rs'] [keep v | keep]_K^T) * E_K,
+    on the weighted keys only, is written over E_K head by head (an N x L
+    scratch is the only other score-sized array), and gives
+    dq = scale dS_K k_K and dk_K = dS_K^T q_scaled.  Zero-keep rows of dk
+    and dv are exactly 0.  A second backward over the same graph raises
+    RuntimeError.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1]:
         raise DimensionError(f"attention: need q[N,D], k[L,D], v[L,D]; got {q.shape}, {k.shape}, {v.shape}")
     n, d = q.shape
     if heads < 1 or d % heads:
         raise ConfigurationError(f"attention: D={d} not divisible into {heads} heads")
-    if keep is not None and keep.shape != (k.shape[0],):
-        raise DimensionError(f"attention: keep {keep.shape} vs {k.shape[0]} keys")
-    scale = 1.0 / np.sqrt(d // heads)
-    m = None if keep is None else keep.data
+    n_keys = k.shape[0]
+    if keep is not None and keep.shape != (n_keys,):
+        raise DimensionError(f"attention: keep {keep.shape} vs {n_keys} keys")
+    hd = d // heads
+    scale = 1.0 / np.sqrt(hd)
+    m = np.ones(n_keys) if keep is None else keep.data
+    weighted = m != 0
+    n_w = int(np.count_nonzero(weighted))
+    # keys in weighted-first order; keep None or all nonzero needs no gather
+    order = slice(None) if n_w == n_keys else np.argsort(~weighted, kind="stable")
+    mo = m[order][:, None, None]
+    dead = float(not (m > 0).any())
 
-    def by_head(x):  # (rows, D) -> (h, rows, D/h) view
-        return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+    # Small arrays are stored row-major, (rows, h, D/h [+ 1]), and viewed per
+    # head.  Every array the backward allocates spans all L keys, and the
+    # score buffer and scratch are sized by L, so the peak does not depend on K.
+    def by_head(x):  # (rows, h, c) -> (h, rows, c) view
+        return x.transpose(1, 0, 2)
 
-    def by_row(x):  # (h, rows, D/h) -> (rows, D)
-        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+    def augment(x, col, factor=1.0):  # x (rows, h, D/h) -> per-head view of [x * factor | col]
+        out = np.empty(x.shape[:2] + (hd + 1,))
+        np.multiply(x, factor, out=out[..., :-1])
+        out[..., -1:] = col
+        return by_head(out)
 
-    def masked(x):  # zero the rows of dropped keys
-        return x if m is None else x * m[:, None]
+    def to_keys(x):  # (L, h, D/h) in key order -> (L, D) in the caller's order
+        out = np.empty((n_keys, heads, hd))
+        out[order] = x
+        return out.reshape(n_keys, d)
 
-    qh = by_head(q.data * scale)
-    s = qh @ by_head(k.data).transpose(0, 2, 1)
-    r = masked_softmax(s, m, literal)
-    out_data = by_row(r @ by_head(masked(v.data)))
+    # k and [keep v | keep] in key order; backward builds them again rather
+    # than keeping them alive with the graph
+    def keys():
+        return k.data[order].reshape(n_keys, heads, hd)
+
+    def keep_values():
+        return augment(v.data[order].reshape(n_keys, heads, hd), mo, mo)
+
+    qs = (q.data * scale).reshape(n, heads, hd)
+    kr = keys()
+    e = np.empty(heads * n * n_keys)
+    ew = e[: heads * n * n_w].reshape(heads, n, n_w)
+    ez = e[heads * n * n_w:].reshape(heads, n, n_keys - n_w)
+    np.matmul(by_head(qs), by_head(kr[:n_w]).transpose(0, 2, 1), out=ew)
+    shift = 0.0
+    if not (literal or dead):
+        row_max = ew.max(axis=-1, keepdims=True)
+        ew -= row_max
+        shift = by_head(row_max)
+    np.matmul(augment(qs, -shift), augment(kr[n_w:], 1.0).transpose(0, 2, 1), out=ez)
+    np.exp(e, out=e)
+    unnorm = np.empty((n, heads, hd + 1))  # [E (keep v) | E keep]
+    np.matmul(ew, keep_values()[:, :n_w], out=by_head(unnorm))
+    s = m.sum() + dead if literal else unnorm[..., -1:] + dead
+    out_r = unnorm[..., :-1] / s
+    out_data = out_r.reshape(n, d)
+    spent = False  # backward overwrites E_K with the score gradient
 
     def backward(g):
-        gh = by_head(g)
-        if v.requires_grad:
-            v.accumulate_grad(masked(by_row(r.transpose(0, 2, 1) @ gh)))
-        t = gh @ by_head(v.data).transpose(0, 2, 1)  # dP, over all L keys
-        rowsum = np.einsum("hnd,hnd->hn", gh, by_head(out_data))[..., None]
-        if not literal:
-            t -= rowsum
-        t *= r  # t now holds T; dS = T * keep
-        if m is not None and keep.requires_grad:
-            dkeep = t.sum(axis=(0, 1))
-            if literal:
-                dkeep -= rowsum.sum() / (m.sum() + float(not (m > 0).any()))
-            keep.accumulate_grad(dkeep)
-        if q.requires_grad:
-            q.accumulate_grad(by_row(t @ by_head(masked(k.data))) * scale)
-        if k.requires_grad:
-            k.accumulate_grad(masked(by_row(t.transpose(0, 2, 1) @ qh)))
+        nonlocal spent
+        if spent:
+            raise RuntimeError("attention: backward ran twice on one graph; its saved scores are spent")
+        gr = g.reshape(n, heads, hd)
+        rowsum = np.einsum("nhd,nhd->nh", gr, out_r)[..., None]
+        gs = augment(gr / s, 0.0 if literal else -rowsum / s)  # [g' | -rs']
+        if v.requires_grad or keep is not None and keep.requires_grad:
+            u = np.empty((n_keys, heads, hd + 1))
+            np.matmul(ew.transpose(0, 2, 1), gs, out=by_head(u[:n_w]))
+            np.matmul(ez.transpose(0, 2, 1), gs, out=by_head(u[n_w:]))
+            uv = to_keys(u[..., :-1])
+            if v.requires_grad:
+                v.accumulate_grad(uv * m[:, None])
+            if keep is not None and keep.requires_grad:
+                dkeep = np.einsum("ld,ld->l", v.data, uv)
+                dkeep[order] += u[..., -1].sum(axis=1)
+                if literal:
+                    dkeep -= rowsum.sum() / s
+                keep.accumulate_grad(dkeep)
+        if q.requires_grad or k.requires_grad:
+            # the score gradient overwrites E_K head by head, through an N*L scratch
+            spent = True
+            vm = keep_values()
+            scratch = np.empty(n * n_keys)[: n * n_w].reshape(n, n_w)
+            for i in range(heads):
+                np.matmul(gs[i], vm[i, :n_w].T, out=scratch)
+                ew[i] *= scratch
+            if q.requires_grad:
+                dq = np.empty((n, heads, hd))
+                np.matmul(ew, by_head(keys()[:n_w]), out=by_head(dq))
+                q.accumulate_grad(dq.reshape(n, d) * scale)
+            if k.requires_grad:
+                dk = np.zeros((n_keys, heads, hd))
+                np.matmul(ew.transpose(0, 2, 1), by_head(qs), out=by_head(dk[:n_w]))
+                k.accumulate_grad(to_keys(dk))
 
     parents = (q, k, v) if keep is None else (q, k, v, keep)
     return _result(out_data, parents, backward, "attention")

@@ -400,7 +400,7 @@ class TestFuseAllScales:
         params = [random_params(16, 4, seed=2 + i) for i in range(4)]
         decisions = DecisionSet(mode="training", Q=Tensor(np.zeros((seq.length, 4))))
         diag = FusionDiagnostics()
-        outs = fuse_all_scales(p, seq, decisions, params, {}, diagnostics=diag)
+        outs = fuse_all_scales(seq, decisions, params, {}, diagnostics=diag)
         for out, lv in zip(outs, p.enhanced_levels):
             assert np.max(np.abs(out.feature_map.data - lv.data)) < 1e-12
         assert diag.zero_mask_rows == seq.length  # every query row of every scale
@@ -419,7 +419,7 @@ class TestFuseAllScales:
         sm = score(seq, mlp)
         decisions = gumbel_sample(sm, 1.0, rng=np.random.default_rng(6))
         params = [random_params(16, 4, seed=7 + i) for i in range(4)]
-        outs = fuse_all_scales(p, seq, decisions, params, {})
+        outs = fuse_all_scales(seq, decisions, params, {})
         total = outs[0].rows.sum()
         for o in outs[1:]:
             total = total + o.rows.sum()
@@ -430,5 +430,5 @@ class TestFuseAllScales:
         p, seq, rng = self.make_pipeline(seed=8)
         params = [random_params(16, 4, seed=9 + i) for i in range(4)]
         decisions = DecisionSet(mode="training", Q=Tensor(np.ones((seq.length, 4))))
-        outs = fuse_all_scales(p, seq, decisions, params, {})
+        outs = fuse_all_scales(seq, decisions, params, {})
         assert [o.feature_map.shape for o in outs] == [(16, 16, 16), (16, 8, 8), (16, 4, 4), (16, 2, 2)]

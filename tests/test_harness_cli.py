@@ -259,6 +259,7 @@ class TestCLI:
     @pytest.mark.parametrize("config,flags", [
         (3, []),
         ({"use_projection_on": 3}, []),
+        ({"use_projection_on": [1, 1]}, []),
         ({"heads": True}, []),
         ({"image_h": 64.0}, []),
         ({"seed": -1}, []),
@@ -271,7 +272,8 @@ class TestCLI:
         (None, ["ablate", "--steps", "-1", "--out", "o"]),
         (None, ["profile", "--sizes", "abc", "--out", "o"]),
         (None, ["gradcheck", "--samples", "0"]),
-    ], ids=["number-config", "projection-not-list", "bool-heads", "float-size", "negative-seed",
+    ], ids=["number-config", "projection-not-list", "repeated-projection-scale",
+            "bool-heads", "float-size", "negative-seed",
             "nan-temperature", "negative-steps", "zero-eval-every", "zero-eval-scenes",
             "zero-scenes", "zero-seeds", "negative-ablate-steps", "non-integer-sizes", "zero-samples"])
     def test_bad_config_or_count_exits_one(self, tmp_path, capsys, config, flags):

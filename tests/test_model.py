@@ -234,6 +234,8 @@ class TestConfig:
             ModelConfig(merge="mean").validate()
         with pytest.raises(ConfigurationError):
             ModelConfig(use_fff=False, use_sfs=True).validate()
+        with pytest.raises(ConfigurationError, match="repeats"):
+            ModelConfig(use_projection_on=(1, 3, 1)).validate()
 
     @pytest.mark.parametrize("field,value", [
         ("image_h", 0), ("image_w", 0), ("image_h", -32), ("image_w", -64),

@@ -4,6 +4,8 @@ Inputs drawn from [-2, 2] (shifted for log),
 eps = 1e-5, max relative error < 1e-4 as required of every differentiable op.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from scalefuse.tensor import (
     cross_entropy,
     downsample_nearest,
     gather_rows,
+    masked_softmax,
     matmul,
     mul,
     slice_axis,
@@ -165,12 +168,13 @@ def unfused_attention(q, k, v, keep, heads, g, literal):
     scale = 1.0 / np.sqrt(q.shape[1] // heads)
     qh, kh, vh, gh = by_head(q), by_head(k), by_head(v), by_head(g)
     s = qh @ kh.transpose(0, 2, 1) * scale
+    dead = float(not np.any(keep > 0))  # no kept key: no shift, S + 1
     if literal:
-        total = keep.sum()
+        total = keep.sum() + dead
         r = np.exp(s) / total
     else:
-        e = np.exp(s - s[..., keep > 0].max(axis=-1, keepdims=True))
-        r = e / (e * keep).sum(axis=-1, keepdims=True)
+        e = np.exp(s - (0.0 if dead else s[..., keep > 0].max(axis=-1, keepdims=True)))
+        r = e / ((e * keep).sum(axis=-1, keepdims=True) + dead)
     p = r * keep
     dp = gh @ vh.transpose(0, 2, 1)
     rowsum = (dp * p).sum(axis=-1, keepdims=True)
@@ -184,16 +188,79 @@ def unfused_attention(q, k, v, keep, heads, g, literal):
             by_row(p.transpose(0, 2, 1) @ gh), dkeep)
 
 
+# keep vectors over 7 keys: the op splits them into weighted (keep != 0) and zero-keep keys
+KEEPS = {
+    "dropping": DROPPING_KEEP,
+    "soft": rand(7, seed=66, lo=0.05, hi=0.95),
+    "all-ones": np.ones(7),
+    "all-zeros": np.zeros(7),
+    "single": np.eye(7)[3],
+    "soft-with-zeros": rand(7, seed=71, lo=0.05, hi=0.95) * (DROPPING_KEEP == 0),
+}
+
+
 @pytest.mark.parametrize("literal", [False, True])
-@pytest.mark.parametrize("keep", [DROPPING_KEEP, rand(7, seed=66, lo=0.05, hi=0.95)],
-                         ids=["dropping", "soft"])
+@pytest.mark.parametrize("keep", list(KEEPS.values()), ids=list(KEEPS))
 def test_attention_matches_unfused_rules(keep, literal):
     q, k, v, g = rand(5, 12, seed=67), rand(7, 12, seed=68), rand(7, 12, seed=69), rand(5, 12, seed=70)
     ts = [Tensor(a, requires_grad=True) for a in (q, k, v, keep)]
     out = attention(*ts, 4, literal=literal)
     (out * Tensor(g)).sum().backward()
     for got, want in zip([out.data] + [t.grad for t in ts], unfused_attention(q, k, v, keep, 4, g, literal)):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # exactly-zero references (dq and dk with one kept key) are held to 1e-12 absolute
+        assert np.max(np.abs(got - want)) <= 1e-12 * (np.max(np.abs(want)) or 1.0)
+    if not keep.any():
+        assert np.all(out.data == 0.0)
+        assert all(np.all(np.isfinite(t.grad)) for t in ts)
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("keep", [None] + list(KEEPS.values()), ids=["none"] + list(KEEPS))
+def test_attention_weights_are_masked_softmax(keep, literal):
+    # one-hot values make each head's output row its weights over the 7 keys,
+    # which must be masked_softmax(s, keep) * keep (criterion 03's rule)
+    heads, n_keys = 2, 7
+    q, k = rand(5, heads * n_keys, seed=72), rand(n_keys, heads * n_keys, seed=73)
+    v = np.tile(np.eye(n_keys), (1, heads))
+    out = attention(Tensor(q), Tensor(k), Tensor(v), None if keep is None else Tensor(keep), heads,
+                    literal=literal)
+    weights = out.data.reshape(5, heads, n_keys).transpose(1, 0, 2)
+    qh, kh = (x.reshape(x.shape[0], heads, n_keys).transpose(1, 0, 2) for x in (q, k))
+    s = qh @ kh.transpose(0, 2, 1) / np.sqrt(n_keys)
+    want = masked_softmax(s, keep, literal) * (1.0 if keep is None else keep)
+    assert np.max(np.abs(weights - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_attention_backward_refuses_a_second_run():
+    # the op's backward overwrites its saved exponentials, so a replay must fail loudly
+    ts = [Tensor(a, requires_grad=True) for a in (rand(5, 8, seed=75), rand(7, 8, seed=76),
+                                                  rand(7, 8, seed=77), DROPPING_KEEP)]
+    loss = attention(*ts, 2).sum()
+    loss.backward()
+    with pytest.raises(RuntimeError, match="twice"):
+        loss.backward()
+
+
+def test_attention_peak_memory_independent_of_kept_count():
+    # scale 1 at the default config: 8 heads, 256 queries, 340 keys, D = 32
+    rng = np.random.default_rng(74)
+    q, k, v, g = (rng.normal(size=shape) for shape in [(256, 32), (340, 32), (340, 32), (256, 32)])
+    peaks = []
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for ratio in (0.25, 0.75):
+            keep = (rng.permutation(340) < ratio * 340).astype(float)
+            ts = [Tensor(a, requires_grad=True) for a in (q, k, v, keep)]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            (attention(*ts, 8) * Tensor(g)).sum().backward()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) < 0.01 * max(peaks)
 
 
 def test_attention_unmasked():
