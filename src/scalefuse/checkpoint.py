@@ -102,6 +102,8 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
             name = name_bytes.decode("utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"{path}: unreadable parameter name ({e})") from None
+        if name in params:
+            raise CheckpointError(f"{path}: parameter {name!r} appears twice")
         rank = u64()
         dims = tuple(u64() for _ in range(rank))
         count = math.prod(dims)

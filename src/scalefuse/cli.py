@@ -90,7 +90,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("export-selection", help="write per-scale selection CSV/PGM maps")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--scene-seed", required=True, type=int)
+    p.add_argument("--scene-seed", required=True, type=_count(0))
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ablate", help="train the ablation ladder and summarize")

@@ -33,6 +33,7 @@ from .selection import DecisionSet
 from .tensor import (
     ConfigurationError,
     Tensor,
+    affine,
     attention,
     gather_rows,
     glorot_uniform,
@@ -143,12 +144,12 @@ def mca_core(
     if diagnostics is not None and keep is not None and not np.any(keep.data > 0):
         diagnostics.zero_mask_rows += queries.shape[0]
     fused = attention(
-        (queries @ params.wq) + params.bq,
-        (source @ params.wk) + params.bk,
-        (source @ params.wv) + params.bv,
+        affine(queries, params.wq, params.bq),
+        affine(source, params.wk, params.bk),
+        affine(source, params.wv, params.bv),
         keep, params.head_count, literal=literal,
     )
-    return (fused @ params.wo) + params.bo
+    return affine(fused, params.wo, params.bo)
 
 
 def attention_stage_macs(n_queries: int, n_keys: int, common_dim: int) -> int:
@@ -203,7 +204,7 @@ def project_tokens(queries: Tensor, gen: ProjectionGenerator):
     n, d = queries.shape
     if n % gen.reduction:
         raise ConfigurationError(f"N={n} not divisible by r={gen.reduction}")
-    raw = (queries @ gen.w) + gen.b           # N x N'
+    raw = affine(queries, gen.w, gen.b)       # N x N'
     proj = raw.softmax(axis=0)                # each column sums to 1 over tokens
     compact = proj.transpose() @ queries      # N' x D convex combinations
     return proj, compact

@@ -197,9 +197,8 @@ class FCNHead:
 
     def __call__(self, x: Tensor) -> Tensor:
         for conv in self.convs:
-            x = conv2d(x, conv.weight, stride=1, pad=1) + conv.bias.reshape(-1, 1, 1)
-            x = x.gelu()
-        return conv2d(x, self.classifier.weight) + self.classifier.bias.reshape(-1, 1, 1)
+            x = conv2d(x, conv.weight, stride=1, pad=1, bias=conv.bias).gelu()
+        return conv2d(x, self.classifier.weight, bias=self.classifier.bias)
 
     def parameters(self):
         for i, conv in enumerate(self.convs, start=1):

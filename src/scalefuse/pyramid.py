@@ -46,8 +46,7 @@ class ConvStage:
     stride: int
 
     def __call__(self, x: Tensor, activate: bool = True) -> Tensor:
-        out = conv2d(x, self.weight, stride=self.stride, pad=0)
-        out = out + self.bias.reshape(-1, 1, 1)
+        out = conv2d(x, self.weight, stride=self.stride, pad=0, bias=self.bias)
         return out.gelu() if activate else out
 
 

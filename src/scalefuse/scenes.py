@@ -60,6 +60,8 @@ class SyntheticSceneSpec:
             raise ConfigurationError("noise must be >= 0")
         if len(self.radius_bands) != 3 or any(lo < 2 or hi < lo for lo, hi in self.radius_bands):
             raise ConfigurationError(f"bad radius bands {self.radius_bands}")
+        if self.seed < 0:
+            raise ConfigurationError(f"scene seed must be >= 0, got {self.seed}")
         return self
 
 

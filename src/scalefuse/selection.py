@@ -20,6 +20,7 @@ import numpy as np
 from .tensor import (
     ConfigurationError,
     Tensor,
+    affine,
     concat,
     glorot_uniform,
     slice_axis,
@@ -83,8 +84,8 @@ class DecisionSet:
 
 def score(seq: TokenSequence, mlp: ScorerMLP) -> ScoreMatrix:
     """Per token and scale, softmax over the (keep, drop) logit pair."""
-    h = ((seq.tokens @ mlp.w1) + mlp.b1).gelu()
-    logits = (h @ mlp.w2) + mlp.b2
+    h = affine(seq.tokens, mlp.w1, mlp.b1).gelu()
+    logits = affine(h, mlp.w2, mlp.b2)
     pairs = logits.reshape(seq.length, NUM_LEVELS, 2).softmax(axis=2)
     P = slice_axis(pairs, 2, 0, 1).reshape(seq.length, NUM_LEVELS)
     return ScoreMatrix(P=P, produced_from=seq)

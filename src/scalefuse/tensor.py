@@ -5,6 +5,8 @@ is always a flat row-major buffer of length ``prod(shape)``.  Operations build
 an expression DAG; ``backward()`` linearizes it into a :class:`Tape` (inputs
 strictly before outputs) and replays the recorded backward rules in reverse.
 Forward functions never mutate their inputs; ``reshape``/``transpose`` copy.
+Affine maps and convolutions take their bias inside the op (:func:`affine`,
+``conv2d(bias=)``), so a bias costs no graph node of its own.
 
 Multi-head attention is one op, :func:`attention`: the head split, scaled
 scores, the (masked) softmax that :func:`masked_softmax` writes out and the
@@ -35,6 +37,7 @@ __all__ = [
     "ConfigurationError",
     "no_grad",
     "matmul",
+    "affine",
     "concat",
     "gather_rows",
     "slice_axis",
@@ -377,6 +380,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (a, b), backward, "matmul")
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x[N,I] w[I,O] + b[O] as one op; db is the column sum of the gradient."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.shape != (w.shape[1],):
+        raise DimensionError(f"affine: need x[N,I], w[I,O], b[O]; got {x.shape}, {w.shape}, {b.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise DimensionError(f"affine: inner dims disagree for {x.shape} x {w.shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def backward(g, x=x, w=w, b=b):
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data.T)
+        if w.requires_grad:
+            w.accumulate_grad(x.data.T @ g)
+
+    return _result(out_data, (x, w, b), backward, "affine")
+
+
 # -- structural ops ------------------------------------------------------------------
 
 
@@ -441,8 +464,8 @@ def straight_through(hard: np.ndarray, soft: Tensor) -> Tensor:
 # -- spatial ops -------------------------------------------------------------------------
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of x[C,H,W] with w[O,C,k,k], zero padding.
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, bias: Optional[Tensor] = None) -> Tensor:
+    """Cross-correlation of x[C,H,W] with w[O,C,k,k], zero padding, plus an optional bias[O].
 
     Output size must be exact: (H + 2*pad - k) divisible by stride.
     """
@@ -452,6 +475,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     O, Ci, kh, kw = w.shape
     if Ci != C or kh != kw:
         raise DimensionError(f"conv2d: weight {w.shape} incompatible with input {x.shape}")
+    if bias is not None and bias.shape != (O,):
+        raise DimensionError(f"conv2d: bias {bias.shape} vs {O} output channels")
     k = kh
     if k not in (1, 2, 3, 4):
         raise ConfigurationError(f"conv2d: kernel size {k} unsupported")
@@ -475,10 +500,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             cols[:, i, j] = xp[:, i : i + stride * Ho : stride, j : j + stride * Wo : stride]
     cols2 = cols.reshape(C * k * k, Ho * Wo)
     out_data = (w.data.reshape(O, -1) @ cols2).reshape(O, Ho, Wo)
+    if bias is not None:
+        out_data += bias.data[:, None, None]
 
     def backward(g, x=x, w=w, cols2=cols2, k=k, stride=stride, pad=pad, Ho=Ho, Wo=Wo):
         C, H, W = x.shape
         O = w.shape[0]
+        if bias is not None and bias.requires_grad:
+            # sum over rows, then columns: the order a broadcast add's backward uses
+            bias.accumulate_grad(_unbroadcast(g, (O, 1, 1)).reshape(O))
         g2 = g.reshape(O, -1)
         if w.requires_grad:
             w.accumulate_grad((g2 @ cols2.T).reshape(w.shape))
@@ -490,7 +520,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                     dxp[:, i : i + stride * Ho : stride, j : j + stride * Wo : stride] += dcols[:, i, j]
             x.accumulate_grad(dxp[:, pad : pad + H, pad : pad + W])
 
-    return _result(out_data, (x, w), backward, "conv2d")
+    parents = (x, w) if bias is None else (x, w, bias)
+    return _result(out_data, parents, backward, "conv2d")
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:

@@ -17,14 +17,14 @@ from typing import Dict, List
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic
 from .metrics import MIoUAccumulator
 from .model import IGNORE_INDEX, ModelConfig, SegmentationModel, total_loss
 from .pyramid import NUM_LEVELS
 from .scenes import SyntheticSceneSpec, generate_scene
 from .selection import export_selection_maps
 from .optim import AdamW
-from .tensor import no_grad
+from .tensor import ConfigurationError, no_grad
 
 TRAIN_SEED_STRIDE = 2     # train scenes: 2k
 EVAL_SEED_OFFSET = 1      # eval scenes: 2j + 1
@@ -126,9 +126,9 @@ def train(
         if not np.isfinite(breakdown["total"]):
             raise NumericError(step, breakdown)
         loss.backward()
-        for name, p in model.parameters():
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise NumericError(step, breakdown, f"gradient of {name}")
+        if not np.isfinite(opt.grad).all():
+            name = next(n for n, p in opt.params if not np.isfinite(p.grad).all())
+            raise NumericError(step, breakdown, f"gradient of {name}")
         opt.step()
         opt.zero_grad()
         # training-mode realized keep ratio: mean of the hard decisions
@@ -174,9 +174,18 @@ def train(
 
 
 def load_model(checkpoint_path) -> SegmentationModel:
+    """Build the model a checkpoint's config describes and load its parameters.
+
+    An invalid config, or parameter names or shapes that disagree with the
+    model it builds, are defects of the file, so they raise CheckpointError,
+    not ConfigurationError.
+    """
     cfg_dict, arrays = load_checkpoint(checkpoint_path)
-    model = SegmentationModel(ModelConfig.from_dict(cfg_dict))
-    model.load_state(arrays)
+    try:
+        model = SegmentationModel(ModelConfig.from_dict(cfg_dict))
+        model.load_state(arrays)
+    except ConfigurationError as e:
+        raise CheckpointError(f"{checkpoint_path}: {e}") from None
     return model
 
 

@@ -272,10 +272,12 @@ class TestCLI:
         (None, ["ablate", "--steps", "-1", "--out", "o"]),
         (None, ["profile", "--sizes", "abc", "--out", "o"]),
         (None, ["gradcheck", "--samples", "0"]),
+        (None, ["export-selection", "--checkpoint", "c.bin", "--scene-seed", "-1", "--out", "o"]),
     ], ids=["number-config", "projection-not-list", "repeated-projection-scale",
             "bool-heads", "float-size", "negative-seed",
             "nan-temperature", "negative-steps", "zero-eval-every", "zero-eval-scenes",
-            "zero-scenes", "zero-seeds", "negative-ablate-steps", "non-integer-sizes", "zero-samples"])
+            "zero-scenes", "zero-seeds", "negative-ablate-steps", "non-integer-sizes", "zero-samples",
+            "negative-scene-seed"])
     def test_bad_config_or_count_exits_one(self, tmp_path, capsys, config, flags):
         if config is None:
             argv = flags
@@ -321,6 +323,26 @@ class TestCLI:
                               capture_output=True, text=True)
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr and "checkpoint error" in proc.stderr
+
+    @pytest.mark.parametrize("defect", ["flipped-name", "reshaped", "repeated-name", "invalid-config"])
+    def test_checkpoint_disagreeing_with_its_model_exits_three(self, tmp_path, capsys, defect):
+        cfg = ModelConfig.tiny()
+        params = {name: p.data for name, p in SegmentationModel(cfg).parameters()}
+        if defect == "reshaped":
+            params["aux_head.classifier.bias"] = params["aux_head.classifier.bias"].reshape(1, -1)
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, dict(cfg.to_dict(), heads=5) if defect == "invalid-config" else cfg.to_dict(),
+                        params)
+        raw = bytearray(path.read_bytes())
+        if defect == "flipped-name":
+            raw[raw.index(b"aux_head.classifier.bias")] ^= 1  # one flipped bit in the name
+        elif defect == "repeated-name":
+            raw = raw.replace(b"lateral.2.bias", b"lateral.1.bias")
+        path.write_bytes(raw)
+        rc = main(["eval", "--checkpoint", str(path), "--scenes", "1", "--out", str(tmp_path / "ev")])
+        err = capsys.readouterr().err
+        assert rc == 3 and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("checkpoint error") and str(path) in err
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "scalefuse.cli", "--help"],

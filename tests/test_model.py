@@ -14,7 +14,8 @@ from scalefuse.model import (
     total_loss,
 )
 from scalefuse.scenes import SyntheticSceneSpec, generate_scene
-from scalefuse.tensor import ConfigurationError, Tensor, no_grad
+from scalefuse.tensor import ConfigurationError, Tape, Tensor, no_grad
+from scalefuse.train import ABLATION_VARIANTS
 
 
 # a few keys per dict, each drawn three times in four from values of its own
@@ -215,6 +216,37 @@ class TestCheckpoint:
         model, cfg = tiny_model()
         with pytest.raises(ConfigurationError):
             model.load_state({"bogus": np.zeros(3)})
+
+    def test_repeated_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.bin"
+        save_checkpoint(path, {"seed": 0}, {"a.1": np.zeros(2), "a.2": np.ones(2)})
+        path.write_bytes(path.read_bytes().replace(b"a.2", b"a.1"))
+        with pytest.raises(CheckpointError, match="'a.1' appears twice"):
+            load_checkpoint(path)
+
+
+class TestTrainingGraph:
+    @pytest.mark.parametrize("overrides", [
+        *ABLATION_VARIANTS.values(), {"eq5_literal": True}, {"merge": "sum"},
+    ], ids=[*ABLATION_VARIANTS, "eq5_literal", "merge-sum"])
+    def test_every_parameter_gets_a_gradient(self, overrides):
+        # AdamW zero-fills gradients, so a parameter left off the graph would
+        # still decay; this pins that no variant leaves one off
+        model, cfg = tiny_model(**overrides)
+        image, labels = tiny_scene(cfg)
+        out = model.forward(image, mode="train", rng=np.random.default_rng(0))
+        total_loss(out, labels, cfg)[0].backward()
+        assert [name for name, p in model.parameters() if p.grad is None] == []
+
+    def test_default_step_census(self):
+        cfg = ModelConfig().replace(**ABLATION_VARIANTS["fff+sfs"])
+        model = SegmentationModel(cfg)
+        image, labels = tiny_scene(cfg)
+        out = model.forward(image, mode="train", rng=np.random.default_rng(0))
+        ops = Tape.from_root(total_loss(out, labels, cfg)[0]).ops
+        assert len(ops) <= 182  # leaves included; 224 before biases were fused
+        params = {id(p) for _, p in model.parameters()}
+        assert not [n for n in ops if n.op == "add" and any(id(p) in params for p in n._parents)]
 
 
 class TestConfig:

@@ -44,6 +44,8 @@ class TestScenes:
             SyntheticSceneSpec(num_classes=1).validate()
         with pytest.raises(ConfigurationError):
             SyntheticSceneSpec(noise=-0.1).validate()
+        with pytest.raises(ConfigurationError):
+            SyntheticSceneSpec(seed=-1).validate()
 
     def test_image_shape_and_range(self):
         img, labels = generate_scene(SyntheticSceneSpec(height=32, width=64, seed=1))

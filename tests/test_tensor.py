@@ -10,6 +10,7 @@ from scalefuse.tensor import (
     DimensionError,
     Tape,
     Tensor,
+    affine,
     concat,
     conv2d,
     cross_entropy,
@@ -40,6 +41,28 @@ class TestMatmul:
         with pytest.raises(DimensionError) as e:
             matmul(t(np.zeros((2, 3))), t(np.zeros((4, 5))))
         assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
+
+
+class TestAffine:
+    def test_matches_matmul_plus_bias_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        arrays = rng.normal(size=(6, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        g = rng.normal(size=(6, 5))
+
+        def run(fused):
+            x, w, b = (t(a, rg=True) for a in arrays)
+            y = affine(x, w, b) if fused else matmul(x, w) + b
+            (y * t(g)).sum().backward()
+            return [y.data, x.grad, w.grad, b.grad]
+
+        for got, want in zip(run(True), run(False)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (4, 5), (5,)), ((2, 4), (4, 5), (4,)),
+                                        ((2, 4), (4, 5), (1, 5)), ((4,), (4, 5), (5,))])
+    def test_shape_mismatch_rejected(self, shapes):
+        with pytest.raises(DimensionError):
+            affine(*(t(np.ones(s)) for s in shapes))
 
 
 class TestSoftmax:
@@ -90,6 +113,28 @@ class TestConv2d:
                             for j in range(3):
                                 ref[o, a, b] += xp[c, a * stride + i, b * stride + j] * w[o, c, i, j]
         assert np.max(np.abs(out.data - ref)) < 1e-9
+
+    @pytest.mark.parametrize("stride,pad,k", [(1, 1, 3), (2, 0, 2), (1, 0, 1)])
+    def test_bias_matches_broadcast_add_bit_for_bit(self, stride, pad, k):
+        rng = np.random.default_rng(19)
+        arrays = rng.normal(size=(3, 8, 8)), rng.normal(size=(5, 3, k, k)), rng.normal(size=5)
+        g = rng.normal(size=(5, (8 + 2 * pad - k) // stride + 1, (8 + 2 * pad - k) // stride + 1))
+
+        def run(fused):
+            x, w, b = (t(a, rg=True) for a in arrays)
+            if fused:
+                y = conv2d(x, w, stride=stride, pad=pad, bias=b)
+            else:
+                y = conv2d(x, w, stride=stride, pad=pad) + b.reshape(-1, 1, 1)
+            (y * t(g)).sum().backward()
+            return [y.data, x.grad, w.grad, b.grad]
+
+        for got, want in zip(run(True), run(False)):
+            assert np.array_equal(got, want)
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(DimensionError):
+            conv2d(t(np.ones((1, 3, 3))), t(np.ones((2, 1, 1, 1))), bias=t(np.ones(3)))
 
     def test_non_integral_output_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -12,6 +12,7 @@ import pytest
 from scalefuse.gradcheck import central_diff, rel_error
 from scalefuse.tensor import (
     Tensor,
+    affine,
     attention,
     concat,
     conv2d,
@@ -83,6 +84,16 @@ def test_matmul_weighted_output():
              [rand(5, 7, seed=15), rand(7, 3, seed=16)], tol=1e-6)
 
 
+def test_affine():
+    w = rand(5, 3, seed=17)
+    fd_check(lambda ts: (affine(ts[0], ts[1], ts[2]) * Tensor(w)).sum(),
+             [rand(5, 7, seed=18), rand(7, 3, seed=22), rand(3, seed=49)], tol=1e-6)
+    x = Tensor(rand(5, 7, seed=50))  # a constant input gets no gradient
+    fd_check(lambda ts: (affine(x, ts[0], ts[1]) * Tensor(w)).sum(),
+             [rand(7, 3, seed=51), rand(3, seed=52)], tol=1e-6)
+    assert x.grad is None
+
+
 def test_pointwise():
     fd_check(lambda ts: ts[0].exp().sum(), [rand(4, 4, seed=19)])
     fd_check(lambda ts: ts[0].log().sum(), [rand(4, 4, seed=20, lo=0.3, hi=2.0)])
@@ -125,6 +136,10 @@ def test_spatial_ops():
              [rand(2, 5, 5, seed=43), rand(3, 2, 3, 3, seed=44) * 0.5])
     fd_check(lambda ts: conv2d(ts[0], ts[1], stride=2, pad=0).sum(),
              [rand(2, 6, 6, seed=45), rand(3, 2, 2, 2, seed=46)], tol=1e-6)
+    fd_check(lambda ts: conv2d(ts[0], ts[1], stride=1, pad=1, bias=ts[2]).gelu().sum(),
+             [rand(2, 5, 5, seed=53), rand(3, 2, 3, 3, seed=54) * 0.5, rand(3, seed=55)])
+    fd_check(lambda ts: (conv2d(ts[0], ts[1], stride=2, pad=0, bias=ts[2]) * Tensor(rand(3, 3, 3, seed=56))).sum(),
+             [rand(2, 6, 6, seed=57), rand(3, 2, 2, 2, seed=58), rand(3, seed=59)], tol=1e-6)
     fd_check(lambda ts: upsample_nearest(ts[0], 2).exp().sum(), [rand(2, 3, 3, seed=47) * 0.4])
     fd_check(lambda ts: downsample_nearest(ts[0], 2).exp().sum(), [rand(2, 4, 4, seed=48) * 0.4])
 
