@@ -76,7 +76,9 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     def take(n: int) -> memoryview:
         nonlocal off
         if n > len(raw) - off:
-            raise CheckpointError(f"{path}: truncated at byte {off} (wanted {n} more)")
+            # n can have more digits than int-to-str allows (a product of flipped dims)
+            raise CheckpointError(f"{path}: truncated at byte {off} (a field wants more than "
+                                  f"the {len(raw) - off} bytes left)")
         off += n
         return raw[off - n : off]
 
@@ -106,8 +108,11 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: parameter {name!r} appears twice")
         rank = u64()
         dims = tuple(u64() for _ in range(rank))
-        count = math.prod(dims)
-        params[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(dims).astype(np.float64)
+        values = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
+        try:  # dims with a 0 pass take(0) however large the others are
+            params[name] = values.reshape(dims).astype(np.float64)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: parameter {name!r} has {rank} dims numpy cannot hold ({e})") from None
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes after the last parameter")
     return config, params

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .checkpoint import CheckpointError
@@ -55,9 +56,20 @@ def size_list(text: str) -> list:
     return sizes
 
 
+def finite_positive(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number > 0")
+    return value
+
+
 def _load_config(path) -> ModelConfig:
-    with open(path) as fh:
-        data = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except UnicodeDecodeError as e:
+            raise ConfigurationError(f"{path} is not UTF-8 text ({e.reason} at byte {e.start})") from None
     return ModelConfig.from_dict(data)
 
 
@@ -80,7 +92,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     p.add_argument("--profile", choices=("tiny", "default"), default="tiny")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=finite_positive, default=1e-3)
     p.add_argument("--samples", type=_count(1), default=10)
 
     p = sub.add_parser("profile", help="MAC/memory accounting, projection on vs off")

@@ -7,6 +7,7 @@ full training loss and reports one result per parameter group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -42,7 +43,8 @@ def check_gradients(
     """Max relative error per named array, sampling entries when asked.
 
     `grads` holds the analytic gradients (same shapes as `arrays`); `f`
-    re-evaluates the scalar objective from the current array contents.
+    re-evaluates the scalar objective from the current array contents.  A
+    non-finite gradient or finite difference makes its array's error inf.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -57,7 +59,8 @@ def check_gradients(
         err = 0.0
         for i in idxs:
             fd = central_diff(f, arr, int(i), eps)
-            err = max(err, rel_error(float(g[i]), fd, floor))
+            e = rel_error(float(g[i]), fd, floor)
+            err = max(err, e) if math.isfinite(e) else math.inf  # max(0.0, nan) is 0.0
         worst[name] = err
     return worst
 
@@ -69,7 +72,7 @@ class GradCheckReport:
 
     @property
     def failures(self) -> Dict[str, float]:
-        return {k: v for k, v in self.per_group.items() if v >= self.tolerance}
+        return {k: v for k, v in self.per_group.items() if not v < self.tolerance}
 
     @property
     def passed(self) -> bool:

@@ -3,10 +3,13 @@ FCN heads, and the composite training objective.
 
 Pipeline (training): image -> pyramid -> top-down enhance -> flatten ->
 importance scores -> hard Gumbel decisions -> masked full-scale fusion per
-scale -> upsample to stride 4 -> channel merge -> FCN head -> x4 upsample ->
-logits.  Inference swaps the mask for a top-k gather and needs no sampling.
-The ablation baseline keeps only the neck: enhanced levels resampled to
-stride 8, a deeper FCN head, and no selection or fusion.
+scale -> FCN head at stride 4 over the channel merge of the four fused maps
+-> x4 upsample -> logits.  The head's first 3x3 conv reads each map at its
+own resolution (`conv3x3_upsampled`), so the maps are never upsampled or
+concatenated.  Inference swaps the mask for a top-k gather and needs no
+sampling.  The ablation baseline keeps only the neck: a deeper FCN head at
+stride 8 over the enhanced levels (the stride-4 level downsampled), and no
+selection or fusion.
 
 The auxiliary head reads the raw stage-3 backbone features and its loss is
 weighted by `aux_weight`; the ratio loss pulls every score column's mean
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .tensor import (
     Tensor,
     concat,
     conv2d,
+    conv3x3_upsampled,
     cross_entropy,
     downsample_nearest,
     glorot_uniform,
@@ -175,11 +179,20 @@ class ForwardResult:
 
 
 class FCNHead:
-    """3x3 conv stack (depth 1 or 2) with GELU, then a 1x1 classifier."""
+    """3x3 conv stack (depth 1 or 2) with GELU, then a 1x1 classifier.
+
+    The first conv reads the channel merge of its input maps, each taken to
+    the head's resolution by nearest upsampling, through one
+    `conv3x3_upsampled` op that never forms the upsampled copies.  With
+    `merge="sum"` its weight (in_ch input channels) is tied across the maps:
+    a conv of the summed maps is the conv of their concat with the weight
+    repeated once per map.
+    """
 
     def __init__(self, in_ch: int, hidden: int, num_classes: int, depth: int,
-                 rng: np.random.Generator, prefix: str):
+                 rng: np.random.Generator, prefix: str, merge: str = "concat"):
         self.prefix = prefix
+        self.merge = merge
         self.convs: List[ConvStage] = []
         ch = in_ch
         for _ in range(depth):
@@ -195,9 +208,14 @@ class FCNHead:
             stride=1,
         )
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, parts: Sequence[Tensor], factors: Sequence[int]) -> Tensor:
+        """Head over the merge of `parts`, part g upsampled by factors[g]."""
         for conv in self.convs:
-            x = conv2d(x, conv.weight, stride=1, pad=1, bias=conv.bias).gelu()
+            weight = conv.weight
+            if self.merge == "sum" and len(parts) > 1:
+                weight = concat([weight] * len(parts), axis=1)
+            x = conv3x3_upsampled(parts, factors, weight, conv.bias).gelu()
+            parts, factors = [x], (1,)
         return conv2d(x, self.classifier.weight, bias=self.classifier.bias)
 
     def parameters(self):
@@ -225,11 +243,9 @@ class SegmentationModel:
                 n_tokens = (config.image_h // (2 ** (scale + 1))) * (config.image_w // (2 ** (scale + 1)))
                 self.generators[scale] = ProjectionGenerator.create(
                     D, n_tokens, config.reduction_ratio, rng)
-            merged = NUM_LEVELS * D if config.merge == "concat" else D
-            self.head = FCNHead(merged, D, config.num_classes, depth=1, rng=rng, prefix="head")
-        else:
-            merged = NUM_LEVELS * D if config.merge == "concat" else D
-            self.head = FCNHead(merged, D, config.num_classes, depth=2, rng=rng, prefix="head")
+        merged = NUM_LEVELS * D if config.merge == "concat" else D
+        self.head = FCNHead(merged, D, config.num_classes, depth=1 if config.use_fff else 2, rng=rng,
+                            prefix="head", merge=config.merge)
         self.aux_head = FCNHead(4 * C, D, config.num_classes, depth=1, rng=rng, prefix="aux_head")
 
     # -- parameter registry ------------------------------------------------
@@ -299,18 +315,15 @@ class SegmentationModel:
             fused = fuse_all_scales(
                 seq, decisions, self.mca, self.generators, residual=cfg.residual,
                 literal=cfg.eq5_literal and mode == "train", diagnostics=diagnostics)
+            # the head runs at stride 4, the scale-1 maps' resolution
             maps = [f.feature_map for f in fused]
-            at_stride4 = [maps[0]] + [upsample_nearest(maps[i], 2 ** i) for i in range(1, NUM_LEVELS)]
-            merged = concat(at_stride4, axis=0) if cfg.merge == "concat" else _sum_maps(at_stride4)
-            logits = upsample_nearest(self.head(merged), 4)
+            logits = upsample_nearest(self.head(maps, [2 ** i for i in range(NUM_LEVELS)]), 4)
         else:
             enhanced = p.enhanced_levels
-            at_stride8 = [downsample_nearest(enhanced[0], 2), enhanced[1],
-                          upsample_nearest(enhanced[2], 2), upsample_nearest(enhanced[3], 4)]
-            merged = concat(at_stride8, axis=0) if cfg.merge == "concat" else _sum_maps(at_stride8)
-            logits = upsample_nearest(self.head(merged), 8)
+            logits = upsample_nearest(self.head(
+                [downsample_nearest(enhanced[0], 2), *enhanced[1:]], (1, 1, 2, 4)), 8)
 
-        aux_logits = upsample_nearest(self.aux_head(p.raw_levels[2]), 16)
+        aux_logits = upsample_nearest(self.aux_head([p.raw_levels[2]], (1,)), 16)
         return ForwardResult(
             logits=logits,
             aux_logits=aux_logits,
@@ -320,13 +333,6 @@ class SegmentationModel:
             fusion_diagnostics=diagnostics,
             mode=mode,
         )
-
-
-def _sum_maps(maps: List[Tensor]) -> Tensor:
-    acc = maps[0]
-    for m in maps[1:]:
-        acc = acc + m
-    return acc
 
 
 def ratio_loss(P: Tensor, rho: float) -> Tensor:

@@ -8,6 +8,11 @@ Forward functions never mutate their inputs; ``reshape``/``transpose`` copy.
 Affine maps and convolutions take their bias inside the op (:func:`affine`,
 ``conv2d(bias=)``), so a bias costs no graph node of its own.
 
+:func:`conv3x3_upsampled` is the segmentation heads' 3x3 conv over a channel
+merge of maps at several resolutions.  It runs at each map's own resolution
+and places the nine taps with cached 0/1 shift-and-upsample matrices, so the
+nearest-upsampled copies, their concat and the im2col buffer never exist.
+
 Multi-head attention is one op, :func:`attention`: the head split, scaled
 scores, the (masked) softmax that :func:`masked_softmax` writes out and the
 head merge run inside it.  Its keys split into the weighted ones (keep != 0)
@@ -25,6 +30,7 @@ differences, which need the precision far more than this code needs speed.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,6 +49,7 @@ __all__ = [
     "slice_axis",
     "straight_through",
     "conv2d",
+    "conv3x3_upsampled",
     "upsample_nearest",
     "downsample_nearest",
     "cross_entropy",
@@ -556,6 +563,109 @@ def downsample_nearest(x: Tensor, factor: int) -> Tensor:
         x.accumulate_grad(buf)
 
     return _result(out_data, (x,), backward, "downsample_nearest")
+
+
+@functools.lru_cache(maxsize=32)
+def _tap_rows(n: int, factor: int) -> np.ndarray:
+    """Read-only 0/1 matrix A[Y, (i, y)], shape (n * factor, 3n), cached per (n, factor).
+
+    A[Y, (i, y)] = 1 where tap row i of output row Y reads low-resolution row
+    y: 0 <= Y + i - 1 < n * factor and (Y + i - 1) // factor == y.  So
+    A @ [R_0; R_1; R_2] shifts and upsamples a stack of three tap rows at once.
+    """
+    big = n * factor
+    a = np.zeros((big, 3, n))
+    for i in range(3):
+        src = np.arange(i - 1, big + i - 1)
+        inside = (src >= 0) & (src < big)
+        a[inside.nonzero()[0], i, src[inside] // factor] = 1.0
+    a = a.reshape(big, 3 * n)
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=32)
+def _tap_cols(n: int, factor: int) -> np.ndarray:
+    """The column form of `_tap_rows`: B[x, (j, X)] = A[X, (j, x)], shape (n, 3 * n * factor)."""
+    a = _tap_rows(n, factor)
+    b = np.ascontiguousarray(a.reshape(-1, 3, n).transpose(2, 1, 0).reshape(n, -1))
+    b.flags.writeable = False
+    return b
+
+
+def conv3x3_upsampled(parts: Sequence[Tensor], factors: Sequence[int], w: Tensor, bias: Tensor) -> Tensor:
+    """3x3 conv (stride 1, pad 1) of w[O, sum C_g, 3, 3] over the channel concat of
+    upsample_nearest(parts[g], factors[g]), plus bias[O], without forming that concat.
+
+    With A (H x 3h_g) and B (w_g x 3W) the cached 0/1 matrices that shift and
+    upsample a part's three tap rows and tap columns (`_tap_rows`,
+    `_tap_cols`), part g adds A (w_g (part_g B)) to each output channel:
+    part_g B places the tap columns, one GEMM of w_g (3O x 3C_g, rows (o, i),
+    columns (c, j)) over it gives rows (o, i) by columns (y, X), and A places
+    the tap rows.  The backward runs the adjoints, so dW and d(part) are GEMMs
+    too, with no col2im.  No upsampled copy, concat or im2col buffer exists;
+    the largest temporary has 3 max(O, C_g) h_g W floats.  One GEMM of all
+    nine taps at the part's resolution, (9O x C_g) @ (C_g x h_g w_g), would
+    do fewer MACs, but its 9O h_g w_g tap array and the relaid copy the
+    placements need cost more: in a process that has not trained, the C
+    allocator then returns and re-faults ~1.5 MB of heap per inference scene.
+    `conv2d(concat([upsample_nearest(...)]), pad=1, bias=)` is the
+    written-out rule.
+    """
+    parts, factors = tuple(parts), tuple(int(f) for f in factors)
+    if not parts or len(parts) != len(factors):
+        raise DimensionError(f"conv3x3_upsampled: {len(parts)} parts vs {len(factors)} factors")
+    if min(factors) < 1:
+        raise ConfigurationError(f"conv3x3_upsampled: factors {factors} must be >= 1")
+    if any(p.data.ndim != 3 for p in parts) or w.data.ndim != 4 or w.shape[2:] != (3, 3):
+        raise DimensionError(f"conv3x3_upsampled: need parts [C,h,w] and w[O,C,3,3]; got "
+                             f"{[p.shape for p in parts]}, {w.shape}")
+    sizes = {(p.shape[1] * f, p.shape[2] * f) for p, f in zip(parts, factors)}
+    if len(sizes) != 1:
+        raise DimensionError(f"conv3x3_upsampled: parts {[p.shape for p in parts]} upsampled by "
+                             f"{factors} disagree in size")
+    (H, W), = sizes
+    O = w.shape[0]
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    if w.shape[1] != offsets[-1]:
+        raise DimensionError(f"conv3x3_upsampled: weight {w.shape} vs {offsets[-1]} input channels")
+    if bias.shape != (O,):
+        raise DimensionError(f"conv3x3_upsampled: bias {bias.shape} vs {O} output channels")
+
+    # weight rows (o, i), columns (c, j): tap row i, input channel c, tap column j
+    wr = w.data.transpose(0, 2, 1, 3).reshape(3 * O, -1)
+
+    def columns_placed(p, f):  # part (C, h, w) -> (C * 3, h * W), rows (c, j), columns (y, X)
+        c, h, wd = p.shape
+        pc = p.data.reshape(c * h, wd) @ _tap_cols(wd, f)
+        return pc.reshape(c, h, 3, W).transpose(0, 2, 1, 3).reshape(3 * c, h * W)
+
+    out_data = np.zeros((O, H, W))
+    for p, f, lo, hi in zip(parts, factors, offsets, offsets[1:]):
+        h = p.shape[1]
+        r = wr[:, 3 * lo : 3 * hi] @ columns_placed(p, f)  # rows (o, i), columns (y, X)
+        out_data += np.matmul(_tap_rows(h, f), r.reshape(O, 3 * h, W))
+    out_data += bias.data[:, None, None]
+
+    def backward(g, parts=parts, factors=factors, w=w, bias=bias, wr=wr):
+        if bias.requires_grad:
+            # sum over rows, then columns: the order a broadcast add's backward uses
+            bias.accumulate_grad(_unbroadcast(g, (O, 1, 1)).reshape(O))
+        dwr = np.empty_like(wr) if w.requires_grad else None  # every part fills its columns
+        for p, f, lo, hi in zip(parts, factors, offsets, offsets[1:]):
+            if not (p.requires_grad or w.requires_grad):
+                continue
+            c, h, wd = p.shape
+            dr = np.matmul(_tap_rows(h, f).T, g).reshape(3 * O, h * W)
+            if w.requires_grad:
+                dwr[:, 3 * lo : 3 * hi] = dr @ columns_placed(p, f).T
+            if p.requires_grad:
+                dpc = (wr[:, 3 * lo : 3 * hi].T @ dr).reshape(c, 3, h, W).transpose(0, 2, 1, 3)
+                p.accumulate_grad((dpc.reshape(c * h, 3 * W) @ _tap_cols(wd, f).T).reshape(p.shape))
+        if w.requires_grad:
+            w.accumulate_grad(np.ascontiguousarray(dwr.reshape(O, 3, -1, 3).transpose(0, 2, 1, 3)))
+
+    return _result(out_data, (*parts, w, bias), backward, "conv3x3_upsampled")
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -> Tensor:

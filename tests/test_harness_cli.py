@@ -11,6 +11,7 @@ import pytest
 
 from scalefuse.checkpoint import save_checkpoint
 from scalefuse.cli import main
+from scalefuse.gradcheck import GradCheckReport, check_gradients
 from scalefuse.model import ModelConfig, SegmentationModel
 from scalefuse.profiler import PROFILE_DEFAULTS, profile
 from scalefuse.pyramid import sequence_length
@@ -208,6 +209,24 @@ class TestAblate:
             ablate(ModelConfig.tiny(), ["bogus"], 1, 1, tmp_path)
 
 
+class TestGradCheck:
+    @pytest.mark.parametrize("where", ["analytic", "finite-difference"])
+    def test_non_finite_error_fails_its_group(self, where):
+        # negative control: max(0.0, nan) is 0.0, so a NaN must not fold away
+        a, b = np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.25])
+        grads = {"a": 2 * a, "b": 3 * b * b}
+        if where == "analytic":
+            grads["a"][1] = np.nan
+
+        def f():
+            fa = np.nan if where == "finite-difference" and a[1] != -1.0 else np.sum(a * a)
+            return float(fa + np.sum(b ** 3))
+
+        report = GradCheckReport(1e-3, check_gradients(f, {"a": a, "b": b}, grads))
+        assert report.failures == {"a": np.inf} and not report.passed
+        assert report.per_group["b"] < 1e-6
+
+
 class TestCLI:
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -273,17 +292,24 @@ class TestCLI:
         (None, ["profile", "--sizes", "abc", "--out", "o"]),
         (None, ["gradcheck", "--samples", "0"]),
         (None, ["export-selection", "--checkpoint", "c.bin", "--scene-seed", "-1", "--out", "o"]),
+        (json.dumps(TINY).encode("utf-16"), []),  # a valid config, but not UTF-8
+        (None, ["gradcheck", "--tol", "nan"]),
+        (None, ["gradcheck", "--tol", "inf"]),
+        (None, ["gradcheck", "--tol", "-1"]),
     ], ids=["number-config", "projection-not-list", "repeated-projection-scale",
             "bool-heads", "float-size", "negative-seed",
             "nan-temperature", "negative-steps", "zero-eval-every", "zero-eval-scenes",
             "zero-scenes", "zero-seeds", "negative-ablate-steps", "non-integer-sizes", "zero-samples",
-            "negative-scene-seed"])
+            "negative-scene-seed", "utf16-config", "nan-tol", "inf-tol", "negative-tol"])
     def test_bad_config_or_count_exits_one(self, tmp_path, capsys, config, flags):
         if config is None:
             argv = flags
         else:
             path = tmp_path / "config.json"
-            path.write_text(json.dumps(config if not isinstance(config, dict) else {**TINY, **config}))
+            if isinstance(config, bytes):
+                path.write_bytes(config)
+            else:
+                path.write_text(json.dumps(config if not isinstance(config, dict) else {**TINY, **config}))
             argv = ["train", "--config", str(path), "--steps", "1", "--out", str(tmp_path / "o"),
                     "--eval-scenes", "1", *flags]
         assert main(argv) == 1
@@ -324,7 +350,8 @@ class TestCLI:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr and "checkpoint error" in proc.stderr
 
-    @pytest.mark.parametrize("defect", ["flipped-name", "reshaped", "repeated-name", "invalid-config"])
+    @pytest.mark.parametrize("defect", ["flipped-name", "reshaped", "repeated-name", "invalid-config",
+                                        "flipped-rank"])
     def test_checkpoint_disagreeing_with_its_model_exits_three(self, tmp_path, capsys, defect):
         cfg = ModelConfig.tiny()
         params = {name: p.data for name, p in SegmentationModel(cfg).parameters()}
@@ -338,6 +365,8 @@ class TestCLI:
             raw[raw.index(b"aux_head.classifier.bias")] ^= 1  # one flipped bit in the name
         elif defect == "repeated-name":
             raw = raw.replace(b"lateral.2.bias", b"lateral.1.bias")
+        elif defect == "flipped-rank":  # rank 1 -> 9: the dims that follow include zeros
+            raw[raw.index(b"aux_head.classifier.bias") + len(b"aux_head.classifier.bias")] ^= 8
         path.write_bytes(raw)
         rc = main(["eval", "--checkpoint", str(path), "--scenes", "1", "--out", str(tmp_path / "ev")])
         err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -15,7 +16,7 @@ from scalefuse.model import (
 )
 from scalefuse.scenes import SyntheticSceneSpec, generate_scene
 from scalefuse.tensor import ConfigurationError, Tape, Tensor, no_grad
-from scalefuse.train import ABLATION_VARIANTS
+from scalefuse.train import ABLATION_VARIANTS, load_model
 
 
 # a few keys per dict, each drawn three times in four from values of its own
@@ -225,6 +226,44 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+class TestCheckpointBitFlips:
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        """A tiny model's checkpoint: path, bytes, arrays, the offsets of the
+        parameter values' bytes and the offsets of every other byte."""
+        model, cfg = tiny_model()
+        arrays = {name: p.data.copy() for name, p in model.parameters()}
+        path = tmp_path_factory.mktemp("flips") / "tiny.bin"
+        save_checkpoint(path, cfg.to_dict(), arrays)
+        raw = path.read_bytes()
+        values = set()
+        for name, a in arrays.items():
+            record = struct.pack("<Q", len(name)) + name.encode()
+            start = raw.index(record) + len(record) + 8 + 8 * a.ndim
+            values.update(range(start, start + 8 * a.size))
+        structure = [i for i in range(len(raw)) if i not in values]
+        return path, raw, arrays, values, structure
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_bit_flip_loads_the_same_arrays_or_raises(self, valid, data):
+        # a flip in a value changes that one value; anywhere else it is caught
+        # as a CheckpointError or changes nothing the model loads
+        path, raw, arrays, values, structure = valid
+        byte = data.draw(st.one_of(st.sampled_from(structure), st.integers(0, len(raw) - 1)))
+        flipped = bytearray(raw)
+        flipped[byte] ^= 1 << data.draw(st.integers(0, 7))
+        bad = path.with_name("flipped.bin")
+        bad.write_bytes(flipped)
+        try:
+            model = load_model(bad)
+        except CheckpointError:
+            return
+        changed = sum(int(np.count_nonzero(p.data.view(np.int64) != arrays[name].view(np.int64)))
+                      for name, p in model.parameters())
+        assert changed == (byte in values)
+
+
 class TestTrainingGraph:
     @pytest.mark.parametrize("overrides", [
         *ABLATION_VARIANTS.values(), {"eq5_literal": True}, {"merge": "sum"},
@@ -244,7 +283,9 @@ class TestTrainingGraph:
         image, labels = tiny_scene(cfg)
         out = model.forward(image, mode="train", rng=np.random.default_rng(0))
         ops = Tape.from_root(total_loss(out, labels, cfg)[0]).ops
-        assert len(ops) <= 182  # leaves included; 224 before biases were fused
+        # leaves included; 224 before biases were fused, 182 before the head's
+        # upsampling and channel concat moved into conv3x3_upsampled
+        assert len(ops) <= 178
         params = {id(p) for _, p in model.parameters()}
         assert not [n for n in ops if n.op == "add" and any(id(p) in params for p in n._parents)]
 

@@ -13,6 +13,7 @@ from scalefuse.tensor import (
     affine,
     concat,
     conv2d,
+    conv3x3_upsampled,
     cross_entropy,
     downsample_nearest,
     gather_rows,
@@ -139,6 +140,42 @@ class TestConv2d:
     def test_non_integral_output_rejected(self):
         with pytest.raises(ConfigurationError):
             conv2d(t(np.zeros((1, 5, 5))), t(np.zeros((1, 1, 2, 2))), stride=2)
+
+
+class TestConv3x3Upsampled:
+    def test_all_ones_counts_taps_per_upsampled_pixel(self):
+        # a 2x2 part upsampled by 2: every 4x4 output pixel sees its in-image 3x3 taps
+        out = conv3x3_upsampled([t(np.ones((1, 2, 2)))], [2], t(np.ones((1, 1, 3, 3))), t([0.5]))
+        assert np.array_equal(out.data[0], [[4.5, 6.5, 6.5, 4.5], [6.5, 9.5, 9.5, 6.5],
+                                            [6.5, 9.5, 9.5, 6.5], [4.5, 6.5, 6.5, 4.5]])
+
+    @pytest.mark.parametrize("shapes,factors", [
+        ([(2, 4, 4), (2, 3, 3)], (1, 2)),        # 4x4 against 6x6
+        ([(2, 4, 4), (2, 2, 2)], (1, 1)),
+        ([(2, 4, 4), (2, 2, 4)], (1, 2)),        # heights agree, widths do not
+    ], ids=["factor-too-big", "factor-too-small", "width-only"])
+    def test_part_sizes_times_factors_must_agree(self, shapes, factors):
+        parts = [t(np.zeros(s)) for s in shapes]
+        with pytest.raises(DimensionError, match="disagree"):
+            conv3x3_upsampled(parts, factors, t(np.zeros((3, 4, 3, 3))), t(np.zeros(3)))
+
+    @pytest.mark.parametrize("w_shape,b_shape", [
+        ((3, 5, 3, 3), (3,)), ((3, 3, 3, 3), (3,)), ((3, 4, 1, 1), (3,)), ((3, 4, 3), (3,)),
+        ((3, 4, 3, 3), (4,)),
+    ], ids=["too-many-channels", "too-few-channels", "not-3x3", "rank-3", "bias"])
+    def test_weight_and_bias_must_match_parts(self, w_shape, b_shape):
+        parts = [t(np.zeros((2, 4, 4))), t(np.zeros((2, 2, 2)))]
+        with pytest.raises(DimensionError):
+            conv3x3_upsampled(parts, (1, 2), t(np.zeros(w_shape)), t(np.zeros(b_shape)))
+
+    def test_part_and_factor_counts_and_factor_range(self):
+        w, b = t(np.zeros((1, 2, 3, 3))), t(np.zeros(1))
+        with pytest.raises(DimensionError):
+            conv3x3_upsampled([t(np.zeros((2, 2, 2)))], (1, 1), w, b)
+        with pytest.raises(DimensionError):
+            conv3x3_upsampled([], (), w, b)
+        with pytest.raises(ConfigurationError):
+            conv3x3_upsampled([t(np.zeros((2, 2, 2)))], (0,), w, b)
 
 
 class TestUpsampleNearest:

@@ -16,6 +16,7 @@ from scalefuse.tensor import (
     attention,
     concat,
     conv2d,
+    conv3x3_upsampled,
     cross_entropy,
     downsample_nearest,
     gather_rows,
@@ -142,6 +143,56 @@ def test_spatial_ops():
              [rand(2, 6, 6, seed=57), rand(3, 2, 2, 2, seed=58), rand(3, seed=59)], tol=1e-6)
     fd_check(lambda ts: upsample_nearest(ts[0], 2).exp().sum(), [rand(2, 3, 3, seed=47) * 0.4])
     fd_check(lambda ts: downsample_nearest(ts[0], 2).exp().sum(), [rand(2, 4, 4, seed=48) * 0.4])
+
+
+def test_conv3x3_upsampled():
+    # a linear op: finite differences are exact to roundoff
+    g = rand(3, 4, 4, seed=80)
+    fd_check(lambda ts: (conv3x3_upsampled(ts[:3], (1, 2, 4), ts[3], ts[4]) * Tensor(g)).sum(),
+             [rand(2, 4, 4, seed=81), rand(1, 2, 2, seed=82), rand(2, 1, 1, seed=83),
+              rand(3, 5, 3, 3, seed=84), rand(3, seed=85)], tol=1e-6)
+    x = Tensor(rand(2, 2, 2, seed=86))  # a constant part gets no gradient
+    fd_check(lambda ts: (conv3x3_upsampled([ts[0], x], (1, 2), ts[1], ts[2]) * Tensor(g)).gelu().sum(),
+             [rand(2, 4, 4, seed=87), rand(3, 4, 3, 3, seed=88) * 0.5, rand(3, seed=89)])
+    assert x.grad is None
+
+
+# (channels per part, output channels, output size) of the model's 3x3 convs at
+# the default and the tiny config: the fused-map head, the baseline head and
+# its hidden conv, and the aux head
+CONV3X3_CASES = {
+    "head-default": (32, 32, 16, (1, 2, 4, 8)), "head-tiny": (16, 16, 8, (1, 2, 4, 8)),
+    "baseline-default": (32, 32, 8, (1, 1, 2, 4)), "baseline-tiny": (16, 16, 4, (1, 1, 2, 4)),
+    "hidden-default": (32, 32, 8, (1,)), "hidden-tiny": (16, 16, 4, (1,)),
+    "aux-default": (32, 32, 4, (1,)), "aux-tiny": (16, 16, 2, (1,)),
+}
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["concat", "sum"])
+@pytest.mark.parametrize("case", list(CONV3X3_CASES.values()), ids=list(CONV3X3_CASES))
+def test_conv3x3_upsampled_matches_written_out_rule(case, tied):
+    # concat merge: conv2d over the concat of the upsampled parts; sum merge:
+    # conv2d of their sum, against the op with the weight repeated per part
+    c, o, size, factors = case
+    rng = np.random.default_rng(90)
+    parts = [rng.normal(size=(c, size // f, size // f)) for f in factors]
+    w = rng.normal(size=(o, c if tied else c * len(factors), 3, 3))
+    b, g = rng.normal(size=o), rng.normal(size=(o, size, size))
+
+    def run(fused):
+        ts = [Tensor(a, requires_grad=True) for a in (*parts, w, b)]
+        *ps, wt, bt = ts
+        if fused:
+            y = conv3x3_upsampled(ps, factors, concat([wt] * len(ps), axis=1) if tied else wt, bt)
+        else:
+            ups = [upsample_nearest(p, f) for p, f in zip(ps, factors)]
+            merged = sum(ups[1:], ups[0]) if tied else concat(ups, axis=0)
+            y = conv2d(merged, wt, stride=1, pad=1, bias=bt)
+        (y * Tensor(g)).sum().backward()
+        return [y.data] + [x.grad for x in ts]
+
+    for got, want in zip(run(True), run(False)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_attention_masked_and_literal():
