@@ -15,13 +15,18 @@ nearest-upsampled copies, their concat and the im2col buffer never exist.
 
 Multi-head attention is one op, :func:`attention`: the head split, scaled
 scores, the (masked) softmax that :func:`masked_softmax` writes out and the
-head merge run inside it.  Its keys split into the weighted ones (keep != 0)
-and the zero-keep ones, which add nothing to the output and get only a score
-pass, an exp and their share of one matmul, for the keep gradient.  Both
-blocks' exponentiated scores share one h*N*L buffer, whatever the split; it
-is all the closed-form backward keeps, and the backward overwrites it with
-the score gradient, so an op's backward runs once.  The normalised weights
-are never formed.
+head merge run inside it.  Its softmax shift is the Cauchy-Schwarz bound
+|q| max|k| per row and head, which needs no pass over the scores and rides as
+the augmented column of one score GEMM over all L keys; a row whose kept
+weights that bound would underflow (row sum below 1e-200) is redone with its
+exact kept-key max.  The per-head key and value operands are laid out along
+the keys, (h, D/h + 1, L), and the scores as one (h, L, N) buffer with the
+weighted keys (keep != 0) first.  The zero-keep keys add nothing to the
+output and get only their scores, an exp and their share of one GEMM, for the
+keep gradient.  That h*L*N buffer, whatever the split, is all the
+closed-form backward keeps of the scores, and the backward overwrites it
+with the score gradient, so an op's backward runs once.  The normalised
+weights are never formed.
 
 Everything runs in float64 on purpose: the test suite leans on central finite
 differences, which need the precision far more than this code needs speed.
@@ -742,6 +747,12 @@ def masked_softmax(s: np.ndarray, keep: Optional[np.ndarray] = None, literal: bo
     return s
 
 
+# A row whose keep-weighted sum S falls below this under the bound shift c is
+# redone with its exact kept-key max: c then overshoots that max by hundreds,
+# and exp(s - c) would lose the row's weights to underflow.
+_REDO_BELOW = 1e-200
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, keep: Optional[Tensor], heads: int,
               literal: bool = False) -> Tensor:
     """Multi-head attention of q[N,D] over k, v [L,D] as one op; scores scaled by 1/sqrt(D/heads).
@@ -749,15 +760,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: Optional[Tensor], heads: in
     `keep` is the length-L key weight shared by all heads and rows (the
     scale's decisions), or None when every key is kept.  The op computes
     out = (R * keep) v with R as `masked_softmax` writes it out, without
-    forming R.  The keys split into the K weighted ones (keep != 0; all L
-    when keep is None) and the L - K zero-keep ones, which add nothing to the
-    output but whose scores the keep gradient needs.  E = exp(s - shift) of
-    both blocks fills two contiguous parts of one h*N*L buffer; the shift is
-    the row max over the weighted block, folded into the zero-keep block's
-    matmul as [q | -shift] [k | 1]^T.  E_K [keep v | keep] gives the
-    unnormalised output and the row sum S in one matmul, and only that
-    N x D output is divided by S (+1 on rows with no kept key).  Under
-    `literal` there is no shift and S = keep.sum() (+1 when no key is kept).
+    forming R.  Any shift at or above a row's max gives the same R, so the
+    shift is a bound that needs no pass over the scores: by Cauchy-Schwarz no
+    score of (scaled) query row i in head h exceeds c_ih = |q_ih| max_l |k_lh|.
+    It rides as the augmented column of one score GEMM over all L keys,
+    E = exp([q | -c] [k | 1]^T), so no entry of E exceeds 1.  E [keep v | keep]
+    gives the unnormalised output and the row sum S in one GEMM, and only
+    that N x D output is divided by S (+1 when no key is kept).  Where c
+    overshoots a row's kept max by hundreds, S falls below 1e-200 and the
+    row's kept weights may have underflowed, so that row is redone with the
+    exact kept-key max as its shift, as `masked_softmax` computes it (its
+    zero-keep E may then exceed 1, as R does there).  So results equal
+    `masked_softmax`'s up to rounding.  Under `literal` there is no shift and
+    S = keep.sum() (+1 when no key is kept); with no kept key there is no
+    shift either.
+
+    Layout: the per-head operands [k | 1] and [keep v | keep] are built once
+    per call as (h, D/h + 1, L) arrays with L as the contiguous axis, and the
+    scores as one (h, L, N) buffer.  The keys are ordered with the K weighted
+    ones (keep != 0; all L when keep is None) first, so E_K, the block the
+    output and the score gradient need, is contiguous per head; the L - K
+    zero-keep keys add nothing to the output but the keep gradient needs
+    their E.
 
     Backward, with g' = g / S and rs' = rowsum / S (0 under `literal`),
     where rowsum = sum_l dP P = g . out per head (FlashAttention's identity):
@@ -785,90 +809,92 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: Optional[Tensor], heads: in
     n_w = int(np.count_nonzero(weighted))
     # keys in weighted-first order; keep None or all nonzero needs no gather
     order = slice(None) if n_w == n_keys else np.argsort(~weighted, kind="stable")
-    mo = m[order][:, None, None]
-    dead = float(not (m > 0).any())
+    mo = m[order]
+    kept = mo > 0
+    dead = float(not kept.any())
+    shifted = not (literal or dead)
 
-    # Small arrays are stored row-major, (rows, h, D/h [+ 1]), and viewed per
-    # head.  Every array the backward allocates spans all L keys, and the
-    # score buffer and scratch are sized by L, so the peak does not depend on K.
-    def by_head(x):  # (rows, h, c) -> (h, rows, c) view
-        return x.transpose(1, 0, 2)
-
-    def augment(x, col, factor=1.0):  # x (rows, h, D/h) -> per-head view of [x * factor | col]
-        out = np.empty(x.shape[:2] + (hd + 1,))
-        np.multiply(x, factor, out=out[..., :-1])
-        out[..., -1:] = col
-        return by_head(out)
+    def along_keys(x):  # (L, D) -> (h, D/h + 1, L) in key order, augmented row 1
+        out = np.empty((heads, hd + 1, n_keys))
+        out[:, :hd] = x[order].T.reshape(heads, hd, n_keys)
+        out[:, hd] = 1.0
+        return out
 
     def to_keys(x):  # (L, h, D/h) in key order -> (L, D) in the caller's order
         out = np.empty((n_keys, heads, hd))
         out[order] = x
         return out.reshape(n_keys, d)
 
-    # k and [keep v | keep] in key order; backward builds them again rather
-    # than keeping them alive with the graph
-    def keys():
-        return k.data[order].reshape(n_keys, heads, hd)
-
-    def keep_values():
-        return augment(v.data[order].reshape(n_keys, heads, hd), mo, mo)
-
-    qs = (q.data * scale).reshape(n, heads, hd)
-    kr = keys()
-    e = np.empty(heads * n * n_keys)
-    ew = e[: heads * n * n_w].reshape(heads, n, n_w)
-    ez = e[heads * n * n_w:].reshape(heads, n, n_keys - n_w)
-    np.matmul(by_head(qs), by_head(kr[:n_w]).transpose(0, 2, 1), out=ew)
-    shift = 0.0
-    if not (literal or dead):
-        row_max = ew.max(axis=-1, keepdims=True)
-        ew -= row_max
-        shift = by_head(row_max)
-    np.matmul(augment(qs, -shift), augment(kr[n_w:], 1.0).transpose(0, 2, 1), out=ez)
+    ka = along_keys(k.data)  # [k | 1]
+    va = along_keys(v.data)  # [keep v | keep]
+    if keep is not None:
+        va *= mo
+    qa = np.empty((heads, hd + 1, n))  # [q scale | -c], laid out along the rows
+    np.multiply(q.data.T.reshape(heads, hd, n), scale, out=qa[:, :hd])
+    if shifted:
+        k_max = np.sqrt(np.einsum("hcl,hcl->hl", ka[:, :hd], ka[:, :hd]).max(axis=1))
+        np.multiply(np.sqrt(np.einsum("hcn,hcn->hn", qa[:, :hd], qa[:, :hd])), -k_max[:, None],
+                    out=qa[:, hd])
+    else:
+        qa[:, hd] = 0.0
+    e = np.empty((heads, n_keys, n))
+    np.matmul(ka.transpose(0, 2, 1), qa, out=e)
     np.exp(e, out=e)
-    unnorm = np.empty((n, heads, hd + 1))  # [E (keep v) | E keep]
-    np.matmul(ew, keep_values()[:, :n_w], out=by_head(unnorm))
-    s = m.sum() + dead if literal else unnorm[..., -1:] + dead
-    out_r = unnorm[..., :-1] / s
-    out_data = out_r.reshape(n, d)
+    unnorm = va[:, :, :n_w] @ e[:, :n_w]  # (h, D/h + 1, N): [E_K (keep v) | S]
+    if shifted and unnorm[:, hd].min() < _REDO_BELOW:
+        hs, rows = np.nonzero(unnorm[:, hd] < _REDO_BELOW)
+        s_rows = np.einsum("rc,rcl->rl", qa[hs, :hd, rows], ka[hs, :hd])
+        s_rows -= s_rows[:, kept].max(axis=1, keepdims=True)
+        np.exp(s_rows, out=s_rows)
+        e[hs, :, rows] = s_rows
+        unnorm[hs, :, rows] = np.einsum("rl,rcl->rc", s_rows[:, :n_w], va[hs, :, :n_w])
+    s = m.sum() + dead if literal else unnorm[:, hd:] + dead
+    out_t = unnorm[:, :hd] / s  # (h, D/h, N)
+    out_data = out_t.transpose(2, 0, 1).reshape(n, d)
     spent = False  # backward overwrites E_K with the score gradient
 
     def backward(g):
         nonlocal spent
         if spent:
             raise RuntimeError("attention: backward ran twice on one graph; its saved scores are spent")
-        gr = g.reshape(n, heads, hd)
-        rowsum = np.einsum("nhd,nhd->nh", gr, out_r)[..., None]
-        gs = augment(gr / s, 0.0 if literal else -rowsum / s)  # [g' | -rs']
+        gt = g.T.reshape(heads, hd, n)
+        rowsum = np.einsum("hcn,hcn->hn", gt, out_t)[:, None]
+        gs = np.empty((heads, hd + 1, n))  # [g' | -rs'], laid out along the rows
+        np.divide(gt, s, out=gs[:, :hd])
+        if literal:
+            gs[:, hd] = 0.0
+        else:
+            np.divide(rowsum, -s, out=gs[:, hd:])
         if v.requires_grad or keep is not None and keep.requires_grad:
-            u = np.empty((n_keys, heads, hd + 1))
-            np.matmul(ew.transpose(0, 2, 1), gs, out=by_head(u[:n_w]))
-            np.matmul(ez.transpose(0, 2, 1), gs, out=by_head(u[n_w:]))
-            uv = to_keys(u[..., :-1])
+            # BLAS runs E [g' | -rs'] about twice as fast with the right
+            # operand row-major (N, D/h + 1) as with its transpose
+            u = e @ np.ascontiguousarray(gs.transpose(0, 2, 1))  # (h, L, D/h + 1)
+            uv = to_keys(u[..., :hd].transpose(1, 0, 2))
             if v.requires_grad:
                 v.accumulate_grad(uv * m[:, None])
             if keep is not None and keep.requires_grad:
                 dkeep = np.einsum("ld,ld->l", v.data, uv)
-                dkeep[order] += u[..., -1].sum(axis=1)
+                dkeep[order] += u[..., hd].sum(axis=0)
                 if literal:
                     dkeep -= rowsum.sum() / s
                 keep.accumulate_grad(dkeep)
         if q.requires_grad or k.requires_grad:
-            # the score gradient overwrites E_K head by head, through an N*L scratch
+            # the score gradient overwrites E_K head by head, through an N*L
+            # scratch; it and dk are sized by L, so the peak does not depend on K
             spent = True
-            vm = keep_values()
-            scratch = np.empty(n * n_keys)[: n * n_w].reshape(n, n_w)
+            scratch = np.empty(n * n_keys)[: n * n_w].reshape(n_w, n)
             for i in range(heads):
-                np.matmul(gs[i], vm[i, :n_w].T, out=scratch)
-                ew[i] *= scratch
+                np.matmul(va[i, :, :n_w].T, gs[i], out=scratch)
+                e[i, :n_w] *= scratch
+            ds = e[:, :n_w]
             if q.requires_grad:
-                dq = np.empty((n, heads, hd))
-                np.matmul(ew, by_head(keys()[:n_w]), out=by_head(dq))
-                q.accumulate_grad(dq.reshape(n, d) * scale)
+                dq = ka[:, :hd, :n_w] @ ds
+                dq *= scale
+                q.accumulate_grad(dq.transpose(2, 0, 1).reshape(n, d))
             if k.requires_grad:
-                dk = np.zeros((n_keys, heads, hd))
-                np.matmul(ew.transpose(0, 2, 1), by_head(qs), out=by_head(dk[:n_w]))
-                k.accumulate_grad(to_keys(dk))
+                dk = np.zeros((heads, hd, n_keys))
+                np.matmul(qa[:, :hd], ds.transpose(0, 2, 1), out=dk[..., :n_w])
+                k.accumulate_grad(to_keys(dk.transpose(2, 0, 1)))
 
     parents = (q, k, v) if keep is None else (q, k, v, keep)
     return _result(out_data, parents, backward, "attention")

@@ -140,7 +140,7 @@ def train(
     if steps > 0:
         evals.append(evaluate(model, config, eval_scenes, step=steps))
 
-    # fusion accounting from one representative inference forward
+    # fusion accounting, and the selection maps, from one representative inference forward
     image, _ = eval_scene(config, 0)
     with no_grad():
         probe = model.forward(image, mode="infer")
@@ -165,10 +165,7 @@ def train(
     write_report(out_dir / "report.json", report)
 
     if export_maps and model.scorer is not None:
-        image, _ = eval_scene(config, 0)
-        with no_grad():
-            out = model.forward(image, mode="infer")
-        export_selection_maps(out_dir / "selection", out.sequence, out.scores, out.decisions)
+        export_selection_maps(out_dir / "selection", probe.sequence, probe.scores, probe.decisions)
 
     return report
 
@@ -222,12 +219,21 @@ def ablate(
     eval_every: int = 1000,
     eval_scenes: int = 8,
 ) -> dict:
-    """Train every variant x seed and summarize median held-out mIoU."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Train every variant x seed and summarize median held-out mIoU.
+
+    `variants` must name at least one variant and none twice: a repeated
+    variant would train into, and overwrite, the same run directories.
+    """
+    if not variants:
+        raise ValueError("no ablation variants given")
     unknown = [v for v in variants if v not in ABLATION_VARIANTS]
     if unknown:
         raise ValueError(f"unknown ablation variants: {unknown}")
+    repeated = sorted({v for v in variants if variants.count(v) > 1})
+    if repeated:
+        raise ValueError(f"repeated ablation variants: {repeated}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     runs: Dict[str, List[dict]] = {}
     for variant in variants:

@@ -15,8 +15,9 @@ from scalefuse.gradcheck import GradCheckReport, check_gradients
 from scalefuse.model import ModelConfig, SegmentationModel
 from scalefuse.profiler import PROFILE_DEFAULTS, profile
 from scalefuse.pyramid import sequence_length
-from scalefuse.tensor import Tensor
-from scalefuse.train import NumericError, ablate, evaluate, train, write_report
+from scalefuse.selection import export_selection_maps
+from scalefuse.tensor import Tensor, no_grad
+from scalefuse.train import NumericError, ablate, evaluate, load_model, train, write_report
 import scalefuse.checkpoint as checkpoint_mod
 import scalefuse.train as train_mod
 
@@ -107,6 +108,21 @@ class TestTrainLoop:
         code = main(["train", "--config", str(cfg), "--steps", "2", "--out", str(tmp_path / "cli"),
                      "--eval-scenes", "1"])
         assert code == 2 and f"gradient of {name}" in capsys.readouterr().err
+
+    def test_selection_maps_match_a_fresh_inference_forward(self, tmp_path):
+        # train() exports the maps from its fusion-accounting forward; they
+        # must be the files a fresh forward of the saved model writes
+        cfg = ModelConfig.tiny()
+        train(cfg, 2, tmp_path / "run", eval_scenes=1)
+        model = load_model(tmp_path / "run" / "checkpoint.bin")
+        image, _ = train_mod.eval_scene(cfg, 0)
+        with no_grad():
+            out = model.forward(image, mode="infer")
+        export_selection_maps(tmp_path / "ref", out.sequence, out.scores, out.decisions)
+        got = sorted(p.name for p in (tmp_path / "run" / "selection").iterdir())
+        assert got and got == sorted(p.name for p in (tmp_path / "ref").iterdir())
+        for name in got:
+            assert (tmp_path / "run" / "selection" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     def test_training_mode_keep_ratios_logged(self, tmp_path):
         report = train(ModelConfig.tiny(), 2, tmp_path, eval_scenes=1, export_maps=False)
@@ -208,6 +224,13 @@ class TestAblate:
         with pytest.raises(ValueError):
             ablate(ModelConfig.tiny(), ["bogus"], 1, 1, tmp_path)
 
+    @pytest.mark.parametrize("variants", [[], ["fff", "baseline", "fff"]], ids=["empty", "repeated"])
+    def test_empty_or_repeated_variants_rejected_before_training(self, tmp_path, variants):
+        out = tmp_path / "ablation"
+        with pytest.raises(ValueError, match="no ablation variants|repeated"):
+            ablate(ModelConfig.tiny(), variants, 1, 1, out)
+        assert not out.exists()
+
 
 class TestGradCheck:
     @pytest.mark.parametrize("where", ["analytic", "finite-difference"])
@@ -296,11 +319,15 @@ class TestCLI:
         (None, ["gradcheck", "--tol", "nan"]),
         (None, ["gradcheck", "--tol", "inf"]),
         (None, ["gradcheck", "--tol", "-1"]),
+        (None, ["ablate", "--variants", "fff,fff", "--seeds", "1", "--steps", "0", "--eval-scenes", "1",
+                "--out", "o"]),
+        (None, ["ablate", "--variants", ",", "--seeds", "1", "--steps", "0", "--out", "o"]),
     ], ids=["number-config", "projection-not-list", "repeated-projection-scale",
             "bool-heads", "float-size", "negative-seed",
             "nan-temperature", "negative-steps", "zero-eval-every", "zero-eval-scenes",
             "zero-scenes", "zero-seeds", "negative-ablate-steps", "non-integer-sizes", "zero-samples",
-            "negative-scene-seed", "utf16-config", "nan-tol", "inf-tol", "negative-tol"])
+            "negative-scene-seed", "utf16-config", "nan-tol", "inf-tol", "negative-tol",
+            "repeated-variant", "empty-variants"])
     def test_bad_config_or_count_exits_one(self, tmp_path, capsys, config, flags):
         if config is None:
             argv = flags

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scalefuse.gradcheck import central_diff, rel_error
 from scalefuse.tensor import (
@@ -327,6 +329,61 @@ def test_attention_peak_memory_independent_of_kept_count():
         if started:
             tracemalloc.stop()
     assert abs(peaks[0] - peaks[1]) < 0.01 * max(peaks)
+
+
+def attention_against_unfused(q, k, v, keep, heads, g, literal=False):
+    """Run the op (keep None: all keys) and assert its output and gradients
+    equal `unfused_attention`'s to 1e-12 of each reference's largest entry."""
+    m = np.ones(k.shape[0]) if keep is None else keep
+    ts = [Tensor(a, requires_grad=True) for a in (q, k, v, m)]
+    out = attention(ts[0], ts[1], ts[2], None if keep is None else ts[3], heads, literal=literal)
+    (out * Tensor(g)).sum().backward()
+    got = [out.data] + [t.grad for t in ts[:3]] + ([] if keep is None else [ts[3].grad])
+    for x, want in zip(got, unfused_attention(q, k, v, m, heads, g, literal)):
+        assert np.max(np.abs(x - want)) <= 1e-12 * (np.max(np.abs(want)) or 1.0)
+
+
+@pytest.mark.parametrize("keep", [DROPPING_KEEP, KEEPS["soft"], None], ids=["dropping", "soft", "none"])
+def test_attention_redoes_rows_the_bound_shift_underflows(keep):
+    # query rows x1e3 and one key of norm 1e3 per head pointing against
+    # every query row (key 1, which the 0/1 keep drops): the shift bound
+    # c = |q| max|k| then exceeds every row's kept max by far more than 700,
+    # so exp(s - c) underflows on all kept keys and each row must be redone
+    # with its exact kept-key max
+    heads, d = 2, 8
+    q = rand(5, d, seed=80, lo=0.5, hi=2.0) * 1e3
+    k = rand(7, d, seed=81) * 1e-3
+    k[1] = -1e3 / np.sqrt(d // heads)
+    m = np.ones(7) if keep is None else keep
+    qh, kh = q.reshape(5, heads, -1), k.reshape(7, heads, -1)
+    s = np.einsum("nhc,lhc->hnl", qh, kh) / np.sqrt(d // heads)
+    c = np.linalg.norm(qh, axis=-1).T * np.linalg.norm(kh, axis=-1).max(axis=0)[:, None] / np.sqrt(d // heads)
+    assert np.all(c - s[..., m > 0].max(axis=-1) > 700)
+    attention_against_unfused(q, k, rand(7, d, seed=82), keep, heads, rand(5, d, seed=83))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       log_mag=st.tuples(*[st.floats(-3.0, 2.0)] * 3),
+       keep_kind=st.sampled_from(["none", "dropping", "soft"]),
+       zero_query_row=st.booleans(), zero_keys=st.booleans(), literal=st.booleans())
+def test_attention_matches_unfused_across_magnitudes(seed, log_mag, keep_kind, zero_query_row, zero_keys,
+                                                     literal):
+    # q, k and v each scaled by 10^[-3, 2], with q's and k's scales
+    # multiplying to at most 10, so scores stay below about 25: past that the
+    # softmax saturates and dq, dk become differences of nearly equal terms,
+    # where neither the op nor the written-out rule keeps 12 digits (the
+    # bound shift plays no part in that)
+    assume(log_mag[0] + log_mag[1] <= 1.0)
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.uniform(-2, 2, size=shape) * 10.0 ** mag
+               for shape, mag in zip([(5, 12), (7, 12), (7, 12)], log_mag))
+    if zero_query_row:
+        q[2] = 0.0
+    if zero_keys:
+        k[:] = 0.0
+    keep = {"none": None, "dropping": DROPPING_KEEP, "soft": rng.uniform(0.05, 0.95, size=7)}[keep_kind]
+    attention_against_unfused(q, k, v, keep, 4, rng.uniform(-2, 2, size=(5, 12)), literal)
 
 
 def test_attention_unmasked():
