@@ -8,11 +8,9 @@ from .tensor import (
     concat,
     conv2d,
     cross_entropy,
-    downsample_nearest,
     gather_rows,
     matmul,
     no_grad,
-    slice_axis,
     straight_through,
     upsample_nearest,
 )
@@ -28,12 +26,10 @@ __all__ = [
     "concat",
     "conv2d",
     "cross_entropy",
-    "downsample_nearest",
     "gather_rows",
     "matmul",
     "no_grad",
     "ratio_loss",
-    "slice_axis",
     "straight_through",
     "total_loss",
     "upsample_nearest",

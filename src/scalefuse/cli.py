@@ -49,10 +49,12 @@ def _count(minimum: int):
 
 
 def size_list(text: str) -> list:
-    """argparse type: comma-separated integers >= 1, at least one."""
+    """argparse type: comma-separated integers >= 1, at least one, none twice."""
     sizes = [_count(1)(s) for s in text.split(",") if s]
     if not sizes:
         raise argparse.ArgumentTypeError("must list at least one size")
+    if len(set(sizes)) != len(sizes):
+        raise argparse.ArgumentTypeError(f"repeated sizes in {text}")
     return sizes
 
 

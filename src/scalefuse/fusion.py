@@ -33,18 +33,17 @@ from .selection import DecisionSet
 from .tensor import (
     ConfigurationError,
     Tensor,
-    affine,
     attention,
     gather_rows,
     glorot_uniform,
-    slice_axis,
+    matmul,
     zeros_param,
 )
 
 
 @dataclass
 class MCAParams:
-    """Query/key/value and output affine maps for h heads of width D/h."""
+    """Query/key/value and output maps x W + b (`matmul(x, W, b)`) for h heads of width D/h."""
 
     wq: Tensor
     bq: Tensor
@@ -76,7 +75,7 @@ class MCAParams:
 
 @dataclass
 class ProjectionGenerator:
-    """Per-token affine D -> N' whose column-softmax yields the projection."""
+    """Per-token map D -> N' (x W + b) whose column-softmax yields the projection."""
 
     w: Tensor
     b: Tensor
@@ -144,12 +143,12 @@ def mca_core(
     if diagnostics is not None and keep is not None and not np.any(keep.data > 0):
         diagnostics.zero_mask_rows += queries.shape[0]
     fused = attention(
-        affine(queries, params.wq, params.bq),
-        affine(source, params.wk, params.bk),
-        affine(source, params.wv, params.bv),
+        matmul(queries, params.wq, params.bq),
+        matmul(source, params.wk, params.bk),
+        matmul(source, params.wv, params.bv),
         keep, params.head_count, literal=literal,
     )
-    return affine(fused, params.wo, params.bo)
+    return matmul(fused, params.wo, params.bo)
 
 
 def attention_stage_macs(n_queries: int, n_keys: int, common_dim: int) -> int:
@@ -176,7 +175,7 @@ def scale_keys(seq: TokenSequence, decisions: Optional[DecisionSet], scale: int)
     if decisions is None:
         return seq.tokens, None
     if decisions.mode == "training":
-        return seq.tokens, slice_axis(decisions.Q, 1, scale - 1, scale).reshape(seq.length)
+        return seq.tokens, decisions.Q[:, scale - 1]
     return gather_rows(seq.tokens, decisions.topk[scale - 1]), None
 
 
@@ -204,7 +203,7 @@ def project_tokens(queries: Tensor, gen: ProjectionGenerator):
     n, d = queries.shape
     if n % gen.reduction:
         raise ConfigurationError(f"N={n} not divisible by r={gen.reduction}")
-    raw = affine(queries, gen.w, gen.b)       # N x N'
+    raw = matmul(queries, gen.w, gen.b)       # N x N'
     proj = raw.softmax(axis=0)                # each column sums to 1 over tokens
     compact = proj.transpose() @ queries      # N' x D convex combinations
     return proj, compact
@@ -249,7 +248,7 @@ def fuse_all_scales(
     tracing = tracemalloc.is_tracing()
     for scale in range(1, NUM_LEVELS + 1):
         lo, hi = seq.scale_slice(scale)
-        queries = slice_axis(seq.tokens, 0, lo, hi)
+        queries = seq.tokens[lo:hi]
         if tracing:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]

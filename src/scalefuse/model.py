@@ -46,7 +46,6 @@ from .tensor import (
     conv2d,
     conv3x3_upsampled,
     cross_entropy,
-    downsample_nearest,
     glorot_uniform,
     upsample_nearest,
     zeros_param,
@@ -321,7 +320,7 @@ class SegmentationModel:
         else:
             enhanced = p.enhanced_levels
             logits = upsample_nearest(self.head(
-                [downsample_nearest(enhanced[0], 2), *enhanced[1:]], (1, 1, 2, 4)), 8)
+                [enhanced[0][:, ::2, ::2], *enhanced[1:]], (1, 1, 2, 4)), 8)
 
         aux_logits = upsample_nearest(self.aux_head([p.raw_levels[2]], (1,)), 16)
         return ForwardResult(
@@ -337,7 +336,7 @@ class SegmentationModel:
 
 def ratio_loss(P: Tensor, rho: float) -> Tensor:
     """Mean over scales of (rho - column mean)^2."""
-    deviation = rho - P.mean(axis=0)
+    deviation = P.mean(axis=0) - rho
     return (deviation * deviation).mean()
 
 

@@ -170,13 +170,13 @@ def rearrange(pyramid: FeaturePyramid) -> TokenSequence:
     parts, prov, lengths, shapes = [], [], [], []
     for i, level in enumerate(pyramid.enhanced_levels, start=1):
         D, h, w = level.shape
-        parts.append(level.reshape(D, h * w).transpose())
+        parts.append(level.reshape(D, h * w))
         rows, cols = np.divmod(np.arange(h * w), w)
         prov.append(np.stack([np.full(h * w, i), rows, cols], axis=1))
         lengths.append(h * w)
         shapes.append((h, w))
     return TokenSequence(
-        tokens=concat(parts, axis=0),
+        tokens=concat(parts, axis=1).transpose(),
         provenance=np.concatenate(prov, axis=0).astype(np.int64),
         lengths=lengths,
         level_shapes=shapes,

@@ -20,10 +20,9 @@ import numpy as np
 from .tensor import (
     ConfigurationError,
     Tensor,
-    affine,
     concat,
     glorot_uniform,
-    slice_axis,
+    matmul,
     straight_through,
     zeros_param,
 )
@@ -34,7 +33,7 @@ _LOG_EPS = 1e-12
 
 @dataclass
 class ScorerMLP:
-    """D -> D/2 -> 8 affine stack with GELU; last axis packs 4 x (keep, drop)."""
+    """D -> D/2 -> 8 stack of `matmul(x, W, b)` maps with GELU; last axis packs 4 x (keep, drop)."""
 
     w1: Tensor
     b1: Tensor
@@ -84,10 +83,9 @@ class DecisionSet:
 
 def score(seq: TokenSequence, mlp: ScorerMLP) -> ScoreMatrix:
     """Per token and scale, softmax over the (keep, drop) logit pair."""
-    h = affine(seq.tokens, mlp.w1, mlp.b1).gelu()
-    logits = affine(h, mlp.w2, mlp.b2)
-    pairs = logits.reshape(seq.length, NUM_LEVELS, 2).softmax(axis=2)
-    P = slice_axis(pairs, 2, 0, 1).reshape(seq.length, NUM_LEVELS)
+    h = matmul(seq.tokens, mlp.w1, mlp.b1).gelu()
+    logits = matmul(h, mlp.w2, mlp.b2)
+    P = logits.reshape(seq.length, NUM_LEVELS, 2).softmax(axis=2)[..., 0]
     return ScoreMatrix(P=P, produced_from=seq)
 
 
@@ -121,11 +119,9 @@ def gumbel_sample(
     if noise.shape != (L, NUM_LEVELS, 2):
         raise ConfigurationError(f"gumbel noise shape {noise.shape} != {(L, NUM_LEVELS, 2)}")
 
-    keep_log = (P + _LOG_EPS).log().reshape(L, NUM_LEVELS, 1)
-    drop_log = ((1.0 - P) + _LOG_EPS).log().reshape(L, NUM_LEVELS, 1)
-    logits = concat([keep_log, drop_log], axis=2)
-    soft_pair = ((logits + Tensor(noise)) * (1.0 / temperature)).softmax(axis=2)
-    soft = slice_axis(soft_pair, 2, 0, 1).reshape(L, NUM_LEVELS)
+    keep = P.reshape(L, NUM_LEVELS, 1)
+    logits = (concat([keep, 1.0 - keep], axis=2) + _LOG_EPS).log()
+    soft = ((logits + Tensor(noise)) * (1.0 / temperature)).softmax(axis=2)[..., 0]
     if not hard:
         return DecisionSet(mode="training", Q=soft, soft=soft)
     hard_vals = (soft.data >= 0.5).astype(np.float64)

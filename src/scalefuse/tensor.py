@@ -4,8 +4,10 @@ A :class:`Tensor` wraps a C-contiguous ``numpy`` float64 array, so ``values``
 is always a flat row-major buffer of length ``prod(shape)``.  Operations build
 an expression DAG; ``backward()`` linearizes it into a :class:`Tape` (inputs
 strictly before outputs) and replays the recorded backward rules in reverse.
-Forward functions never mutate their inputs; ``reshape``/``transpose`` copy.
-Affine maps and convolutions take their bias inside the op (:func:`affine`,
+Forward functions never mutate their inputs.  ``reshape`` returns numpy's view
+of its input; ``transpose`` and basic indexing (``t[i, a:b, ::2, ...]``, one
+``"slice"`` op) copy, so every ``.data`` stays C-contiguous.  Matrix products
+and convolutions take their bias inside the op (``matmul(bias=)``,
 ``conv2d(bias=)``), so a bias costs no graph node of its own.
 
 :func:`conv3x3_upsampled` is the segmentation heads' 3x3 conv over a channel
@@ -48,15 +50,12 @@ __all__ = [
     "ConfigurationError",
     "no_grad",
     "matmul",
-    "affine",
     "concat",
     "gather_rows",
-    "slice_axis",
     "straight_through",
     "conv2d",
     "conv3x3_upsampled",
     "upsample_nearest",
-    "downsample_nearest",
     "cross_entropy",
     "masked_softmax",
     "attention",
@@ -174,11 +173,34 @@ class Tensor:
         return matmul(self, other)
 
     # -- shape ops -------------------------------------------------------------
+    # __getitem__ alone would make a Tensor iterable through the legacy
+    # sequence protocol (t[0], t[1], ... until IndexError)
+    __iter__ = None
+
+    def __getitem__(self, index) -> "Tensor":
+        """Basic indexing only: ints, slices and ``...``; backward writes g into zeros."""
+        idx = index if isinstance(index, tuple) else (index,)
+        for i in idx:
+            if not (i is Ellipsis or isinstance(i, slice)
+                    or isinstance(i, (int, np.integer)) and not isinstance(i, bool)):
+                raise DimensionError(f"index {index!r}: only ints, slices and ... index a Tensor")
+        try:
+            out_data = self.data[idx].copy()
+        except (IndexError, TypeError, ValueError) as e:
+            raise DimensionError(f"index {index!r} invalid for shape {self.shape}: {e}") from None
+
+        def backward(g, a=self, idx=idx):
+            buf = np.zeros_like(a.data)
+            buf[idx] = g
+            a.accumulate_grad(buf)
+
+        return _result(out_data, (self,), backward, "slice")
+
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         try:
-            out_data = self.data.reshape(shape).copy()
+            out_data = self.data.reshape(shape)
         except ValueError:
             raise DimensionError(f"cannot reshape {self.shape} to {tuple(shape)}") from None
         src_shape = self.shape
@@ -264,7 +286,7 @@ class Tensor:
 
 
 def _fresh(data: np.ndarray) -> Tensor:
-    """Wrap an array the caller just allocated, without re-copying."""
+    """Wrap an array the caller just allocated, or a reshape view, without re-copying."""
     t = Tensor.__new__(Tensor)
     t.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
     t.grad = None
@@ -375,41 +397,31 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _result(a.data * c, (a,), backward, "scale")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product."""
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """2-D matrix product a[N,I] b[I,O], plus an optional bias[O] added in place.
+
+    dbias is the column sum of the gradient.
+    """
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(f"matmul: unsupported ranks for {a.shape} x {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims disagree for {a.shape} x {b.shape}")
+    if bias is not None and bias.shape != (b.shape[1],):
+        raise DimensionError(f"matmul: bias {bias.shape} vs {b.shape[1]} output columns")
     out_data = a.data @ b.data
+    if bias is not None:
+        out_data += bias.data
 
-    def backward(g, a=a, b=b):
+    def backward(g, a=a, b=b, bias=bias):
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=0))
         if a.requires_grad:
             a.accumulate_grad(g @ b.data.T)
         if b.requires_grad:
             b.accumulate_grad(a.data.T @ g)
 
-    return _result(out_data, (a, b), backward, "matmul")
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x[N,I] w[I,O] + b[O] as one op; db is the column sum of the gradient."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.shape != (w.shape[1],):
-        raise DimensionError(f"affine: need x[N,I], w[I,O], b[O]; got {x.shape}, {w.shape}, {b.shape}")
-    if x.shape[1] != w.shape[0]:
-        raise DimensionError(f"affine: inner dims disagree for {x.shape} x {w.shape}")
-    out_data = x.data @ w.data
-    out_data += b.data
-
-    def backward(g, x=x, w=w, b=b):
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
-        if x.requires_grad:
-            x.accumulate_grad(g @ w.data.T)
-        if w.requires_grad:
-            w.accumulate_grad(x.data.T @ g)
-
-    return _result(out_data, (x, w, b), backward, "affine")
+    parents = (a, b) if bias is None else (a, b, bias)
+    return _result(out_data, parents, backward, "matmul")
 
 
 # -- structural ops ------------------------------------------------------------------
@@ -444,21 +456,6 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         x.accumulate_grad(buf)
 
     return _result(out_data, (x,), backward, "gather_rows")
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    axis = axis % x.data.ndim
-    sl = [slice(None)] * x.data.ndim
-    sl[axis] = slice(start, stop)
-    sl = tuple(sl)
-    out_data = x.data[sl].copy()
-
-    def backward(g, x=x, sl=sl):
-        buf = np.zeros_like(x.data)
-        buf[sl] = g
-        x.accumulate_grad(buf)
-
-    return _result(out_data, (x,), backward, "slice")
 
 
 def straight_through(hard: np.ndarray, soft: Tensor) -> Tensor:
@@ -549,25 +546,6 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
         x.accumulate_grad(g.reshape(C, H, f, W, f).sum(axis=(2, 4)))
 
     return _result(out_data, (x,), backward, "upsample_nearest")
-
-
-def downsample_nearest(x: Tensor, factor: int) -> Tensor:
-    """Keep the top-left pixel of each factor x factor block."""
-    if x.data.ndim != 3:
-        raise DimensionError(f"downsample_nearest expects [C,H,W], got {x.shape}")
-    if factor < 1:
-        raise ConfigurationError(f"downsample_nearest: factor {factor} < 1")
-    C, H, W = x.shape
-    if H % factor or W % factor:
-        raise ConfigurationError(f"downsample_nearest: {H}x{W} not divisible by {factor}")
-    out_data = x.data[:, ::factor, ::factor].copy()
-
-    def backward(g, x=x, f=factor):
-        buf = np.zeros_like(x.data)
-        buf[:, ::f, ::f] = g
-        x.accumulate_grad(buf)
-
-    return _result(out_data, (x,), backward, "downsample_nearest")
 
 
 @functools.lru_cache(maxsize=32)

@@ -173,9 +173,9 @@ def train(
 def load_model(checkpoint_path) -> SegmentationModel:
     """Build the model a checkpoint's config describes and load its parameters.
 
-    An invalid config, or parameter names or shapes that disagree with the
-    model it builds, are defects of the file, so they raise CheckpointError,
-    not ConfigurationError.
+    An invalid config, parameter names or shapes that disagree with the
+    model it builds, or a NaN or infinite parameter value are defects of the
+    file, so they raise CheckpointError, not ConfigurationError.
     """
     cfg_dict, arrays = load_checkpoint(checkpoint_path)
     try:
@@ -183,6 +183,9 @@ def load_model(checkpoint_path) -> SegmentationModel:
         model.load_state(arrays)
     except ConfigurationError as e:
         raise CheckpointError(f"{checkpoint_path}: {e}") from None
+    for name, p in model.parameters():
+        if not np.isfinite(p.data).all():
+            raise CheckpointError(f"{checkpoint_path}: parameter {name} holds a non-finite value")
     return model
 
 

@@ -313,6 +313,7 @@ class TestCLI:
         (None, ["ablate", "--seeds", "0", "--out", "o"]),
         (None, ["ablate", "--steps", "-1", "--out", "o"]),
         (None, ["profile", "--sizes", "abc", "--out", "o"]),
+        (None, ["profile", "--sizes", "32,32", "--out", "o"]),
         (None, ["gradcheck", "--samples", "0"]),
         (None, ["export-selection", "--checkpoint", "c.bin", "--scene-seed", "-1", "--out", "o"]),
         (json.dumps(TINY).encode("utf-16"), []),  # a valid config, but not UTF-8
@@ -325,7 +326,8 @@ class TestCLI:
     ], ids=["number-config", "projection-not-list", "repeated-projection-scale",
             "bool-heads", "float-size", "negative-seed",
             "nan-temperature", "negative-steps", "zero-eval-every", "zero-eval-scenes",
-            "zero-scenes", "zero-seeds", "negative-ablate-steps", "non-integer-sizes", "zero-samples",
+            "zero-scenes", "zero-seeds", "negative-ablate-steps", "non-integer-sizes", "repeated-size",
+            "zero-samples",
             "negative-scene-seed", "utf16-config", "nan-tol", "inf-tol", "negative-tol",
             "repeated-variant", "empty-variants"])
     def test_bad_config_or_count_exits_one(self, tmp_path, capsys, config, flags):
@@ -378,12 +380,14 @@ class TestCLI:
         assert "Traceback" not in proc.stderr and "checkpoint error" in proc.stderr
 
     @pytest.mark.parametrize("defect", ["flipped-name", "reshaped", "repeated-name", "invalid-config",
-                                        "flipped-rank"])
+                                        "flipped-rank", "nan-value", "inf-value"])
     def test_checkpoint_disagreeing_with_its_model_exits_three(self, tmp_path, capsys, defect):
         cfg = ModelConfig.tiny()
         params = {name: p.data for name, p in SegmentationModel(cfg).parameters()}
         if defect == "reshaped":
             params["aux_head.classifier.bias"] = params["aux_head.classifier.bias"].reshape(1, -1)
+        elif defect in ("nan-value", "inf-value"):
+            params["head.classifier.bias"][1] = np.nan if defect == "nan-value" else np.inf
         path = tmp_path / "c.bin"
         save_checkpoint(path, dict(cfg.to_dict(), heads=5) if defect == "invalid-config" else cfg.to_dict(),
                         params)
@@ -399,6 +403,8 @@ class TestCLI:
         err = capsys.readouterr().err
         assert rc == 3 and len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("checkpoint error") and str(path) in err
+        if defect in ("nan-value", "inf-value"):
+            assert "head.classifier.bias" in err
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "scalefuse.cli", "--help"],

@@ -277,15 +277,19 @@ class TestTrainingGraph:
         total_loss(out, labels, cfg)[0].backward()
         assert [name for name, p in model.parameters() if p.grad is None] == []
 
-    def test_default_step_census(self):
-        cfg = ModelConfig().replace(**ABLATION_VARIANTS["fff+sfs"])
+    STEP_NODES = {"baseline": 60, "fff": 129, "fff+sfs": 164, "fff+sfs+pm": 171}
+
+    @pytest.mark.parametrize("variant", STEP_NODES)
+    def test_default_step_census(self, variant):
+        cfg = ModelConfig().replace(**ABLATION_VARIANTS[variant])
         model = SegmentationModel(cfg)
         image, labels = tiny_scene(cfg)
         out = model.forward(image, mode="train", rng=np.random.default_rng(0))
         ops = Tape.from_root(total_loss(out, labels, cfg)[0]).ops
-        # leaves included; 224 before biases were fused, 182 before the head's
-        # upsampling and channel concat moved into conv3x3_upsampled
-        assert len(ops) <= 178
+        # leaves included; fff+sfs had 224 before biases were fused, 182 before
+        # the head's upsampling and channel concat moved into conv3x3_upsampled,
+        # and 178 before basic indexing replaced slice-then-reshape pairs
+        assert len(ops) <= self.STEP_NODES[variant]
         params = {id(p) for _, p in model.parameters()}
         assert not [n for n in ops if n.op == "add" and any(id(p) in params for p in n._parents)]
 

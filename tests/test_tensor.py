@@ -5,21 +5,20 @@ import math
 import numpy as np
 import pytest
 
+import scalefuse
+import scalefuse.tensor
 from scalefuse.tensor import (
     ConfigurationError,
     DimensionError,
     Tape,
     Tensor,
-    affine,
     concat,
     conv2d,
     conv3x3_upsampled,
     cross_entropy,
-    downsample_nearest,
     gather_rows,
     matmul,
     no_grad,
-    slice_axis,
     straight_through,
     upsample_nearest,
 )
@@ -45,6 +44,8 @@ class TestMatmul:
 
 
 class TestAffine:
+    """`matmul(x, w, b)`: the affine map with its bias added inside the op."""
+
     def test_matches_matmul_plus_bias_bit_for_bit(self):
         rng = np.random.default_rng(23)
         arrays = rng.normal(size=(6, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
@@ -52,7 +53,7 @@ class TestAffine:
 
         def run(fused):
             x, w, b = (t(a, rg=True) for a in arrays)
-            y = affine(x, w, b) if fused else matmul(x, w) + b
+            y = matmul(x, w, b) if fused else matmul(x, w) + b
             (y * t(g)).sum().backward()
             return [y.data, x.grad, w.grad, b.grad]
 
@@ -63,7 +64,7 @@ class TestAffine:
                                         ((2, 4), (4, 5), (1, 5)), ((4,), (4, 5), (5,))])
     def test_shape_mismatch_rejected(self, shapes):
         with pytest.raises(DimensionError):
-            affine(*(t(np.ones(s)) for s in shapes))
+            matmul(*(t(np.ones(s)) for s in shapes))
 
 
 class TestSoftmax:
@@ -244,21 +245,41 @@ class TestStructuralOps:
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
         cat = concat([t(a), t(b)], axis=0)
-        assert np.array_equal(slice_axis(cat, 0, 0, 3).data, a)
-        assert np.array_equal(slice_axis(cat, 0, 3, 5).data, b)
+        assert np.array_equal(cat[0:3].data, a)
+        assert np.array_equal(cat[3:5].data, b)
 
     def test_gather_rows(self):
         x = np.arange(12, dtype=np.float64).reshape(4, 3)
         out = gather_rows(t(x), [2, 0, 2])
         assert np.array_equal(out.data, x[[2, 0, 2]])
 
-    def test_reshape_transpose_copy(self):
+    def test_reshape_is_a_view_transpose_and_indexing_copy(self):
         x = t(np.arange(6, dtype=np.float64).reshape(2, 3))
-        r = x.reshape(3, 2)
-        tr = x.transpose()
-        r.data[0, 0] = 99
-        tr.data[0, 0] = 77
-        assert x.data[0, 0] == 0.0
+        assert np.shares_memory(x.reshape(3, 2).data, x.data)
+        for out in (x.transpose(), x[0], x[:, ::2]):
+            assert not np.shares_memory(out.data, x.data)
+            assert out.data.flags.c_contiguous
+
+    @pytest.mark.parametrize("index", [
+        (slice(None), 1), 1, (..., 0), (0, ..., slice(1, None)), (-1, slice(None, None, -2)), (),
+    ], ids=["column", "row", "ellipsis", "ellipsis-between", "negative", "empty-tuple"])
+    def test_basic_indexing_matches_numpy(self, index):
+        x = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
+        out = t(x, rg=True)[index]
+        assert out.op == "slice" and np.array_equal(out.data, x[index])
+
+    @pytest.mark.parametrize("index", [
+        np.array([0, 1]), [0, 1], True, (0, False), None, (slice(None), None), 2, (0, 5), (0, 0, 0),
+        (..., ...), 1.0, slice(None, None, 0), slice(0.5, None),
+    ], ids=["array", "list", "bool", "bool-in-tuple", "none", "none-in-tuple", "row-out-of-range",
+            "column-out-of-range", "too-many", "two-ellipses", "float", "zero-step", "float-in-slice"])
+    def test_indexing_rejects_what_is_not_basic(self, index):
+        with pytest.raises(DimensionError):
+            t(np.zeros((2, 3)))[index]
+
+    def test_tensor_is_not_iterable(self):
+        with pytest.raises(TypeError):
+            iter(t(np.zeros((2, 3))))
 
     def test_straight_through_forwards_hard_exactly(self):
         soft = t([0.3, 0.7], rg=True)
@@ -267,8 +288,8 @@ class TestStructuralOps:
 
     def test_downsample_nearest(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-        out = downsample_nearest(t(x), 2)
-        assert np.array_equal(out.data, x[:, ::2, ::2])
+        out = t(x)[:, ::2, ::2]
+        assert np.array_equal(out.data, [[[0, 2], [8, 10]]])
 
 
 class TestInvariants:
@@ -334,3 +355,8 @@ class TestInvariants:
         with no_grad():
             out = a * a + a
         assert out._parents == () and not out.requires_grad
+
+
+@pytest.mark.parametrize("module", [scalefuse, scalefuse.tensor], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -14,18 +14,15 @@ from hypothesis import strategies as st
 from scalefuse.gradcheck import central_diff, rel_error
 from scalefuse.tensor import (
     Tensor,
-    affine,
     attention,
     concat,
     conv2d,
     conv3x3_upsampled,
     cross_entropy,
-    downsample_nearest,
     gather_rows,
     masked_softmax,
     matmul,
     mul,
-    slice_axis,
     straight_through,
     upsample_nearest,
 )
@@ -88,11 +85,12 @@ def test_matmul_weighted_output():
 
 
 def test_affine():
+    # matmul with its bias
     w = rand(5, 3, seed=17)
-    fd_check(lambda ts: (affine(ts[0], ts[1], ts[2]) * Tensor(w)).sum(),
+    fd_check(lambda ts: (matmul(ts[0], ts[1], ts[2]) * Tensor(w)).sum(),
              [rand(5, 7, seed=18), rand(7, 3, seed=22), rand(3, seed=49)], tol=1e-6)
     x = Tensor(rand(5, 7, seed=50))  # a constant input gets no gradient
-    fd_check(lambda ts: (affine(x, ts[0], ts[1]) * Tensor(w)).sum(),
+    fd_check(lambda ts: (matmul(x, ts[0], ts[1]) * Tensor(w)).sum(),
              [rand(7, 3, seed=51), rand(3, seed=52)], tol=1e-6)
     assert x.grad is None
 
@@ -128,10 +126,17 @@ def test_concat_slice_gather():
     w = rand(7, 3, seed=37)
     fd_check(lambda ts: (concat([ts[0], ts[1]], axis=0) * Tensor(w)).sum(),
              [rand(4, 3, seed=38), rand(3, 3, seed=39)])
-    fd_check(lambda ts: slice_axis(ts[0], 1, 1, 3).exp().sum(), [rand(4, 5, seed=40) * 0.5])
+    fd_check(lambda ts: ts[0][:, 1:3].exp().sum(), [rand(4, 5, seed=40) * 0.5])
     idx = [0, 2, 2, 1]
     w3 = rand(4, 3, seed=41)
     fd_check(lambda ts: (gather_rows(ts[0], idx) * Tensor(w3)).sum(), [rand(3, 3, seed=42)])
+
+
+def test_basic_indexing():
+    # an int that drops an axis, a strided slice, and ... before an int
+    fd_check(lambda ts: (ts[0][1] * Tensor(rand(3, 4, seed=60))).sum(), [rand(2, 3, 4, seed=61)])
+    fd_check(lambda ts: ts[0][:, ::2, 1::3].exp().sum(), [rand(2, 4, 6, seed=62) * 0.5])
+    fd_check(lambda ts: (ts[0][..., 0] * Tensor(rand(2, 3, seed=63))).sum(), [rand(2, 3, 2, seed=64)])
 
 
 def test_spatial_ops():
@@ -144,7 +149,7 @@ def test_spatial_ops():
     fd_check(lambda ts: (conv2d(ts[0], ts[1], stride=2, pad=0, bias=ts[2]) * Tensor(rand(3, 3, 3, seed=56))).sum(),
              [rand(2, 6, 6, seed=57), rand(3, 2, 2, 2, seed=58), rand(3, seed=59)], tol=1e-6)
     fd_check(lambda ts: upsample_nearest(ts[0], 2).exp().sum(), [rand(2, 3, 3, seed=47) * 0.4])
-    fd_check(lambda ts: downsample_nearest(ts[0], 2).exp().sum(), [rand(2, 4, 4, seed=48) * 0.4])
+    fd_check(lambda ts: ts[0][:, ::2, ::2].exp().sum(), [rand(2, 4, 4, seed=48) * 0.4])
 
 
 def test_conv3x3_upsampled():
